@@ -55,7 +55,6 @@ from .quiver import (
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
-    Orientation,
     Quiver,
     StructuralFailure,
     TwoConnectedComponent,
@@ -81,7 +80,6 @@ __all__ = [
     "NonCyclicCycle",
     "NotCyclicallyOrientedError",
     "NotSkewSymmetrizableError",
-    "Orientation",
     "QuasiCartanCompanion",
     "Quiver",
     "SignAssignment",

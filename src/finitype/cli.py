@@ -8,8 +8,9 @@ an independent positivity check can re-verify.
 
 Matrix documents: first non-comment line is n, followed by n rows of n
 space-separated integers; ``#`` starts a comment, blank lines are
-ignored.  All vertices and indices are 1-based on the way in and out,
-0-based internally.
+ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
+``sys.get_int_max_str_digits()`` digits long.  All vertices and indices
+are 1-based on the way in and out, 0-based internally.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -55,6 +57,9 @@ EXIT_NOT_FINITE = 1
 EXIT_ERROR = 2
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 class MatrixParseError(ValueError):
     """Malformed matrix document."""
 
@@ -72,10 +77,14 @@ def parse_matrix(text: str) -> SquareIntMatrix:
             lines.append(stripped)
     if not lines:
         raise MatrixParseError("empty matrix document")
+    if not _INTEGER.fullmatch(lines[0]):
+        raise MatrixParseError(f"first line must be the dimension, got {lines[0]!r}")
     try:
         n = int(lines[0])
-    except ValueError:
-        raise MatrixParseError(f"first line must be the dimension, got {lines[0]!r}") from None
+    except ValueError:  # a valid integer, so only the digit limit is left
+        raise MatrixParseError(
+            f"dimension is longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if n < 0:
         raise MatrixParseError("dimension must be non-negative")
     if len(lines) != n + 1:
@@ -85,11 +94,18 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         parts = line.split()
         if len(parts) != n:
             raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
+        # int() alone also takes a '+' sign, '_' separators and non-ASCII digits
+        if "+" in line or "_" in line or not line.isascii():
+            raise MatrixParseError(f"row {idx} contains a non-integer entry")
         try:
-            rows.append([int(p) for p in parts])
+            rows.append(tuple(map(int, parts)))
         except ValueError:
+            if all(map(_INTEGER.fullmatch, parts)):  # only the digit limit is left
+                raise MatrixParseError(
+                    f"row {idx} has an entry longer than {sys.get_int_max_str_digits()} digits"
+                ) from None
             raise MatrixParseError(f"row {idx} contains a non-integer entry") from None
-    return SquareIntMatrix.from_rows(rows)
+    return SquareIntMatrix(n, tuple(rows))
 
 
 def format_matrix(matrix: SquareIntMatrix) -> str:
@@ -146,9 +162,11 @@ def decide_matrix(matrix: SquareIntMatrix) -> Decision:
         return Decision(False, err.witness, None)
     result = positive_companion_exists(form, g, inventory)
     if result.positive:
-        assert result.minors is not None
+        if result.minors is None:
+            raise RuntimeError("positive companion without its minors")
         return Decision(True, None, Certificate(inventory, result.companion, result.minors))
-    assert result.failed_minor_index is not None and result.failed_minor is not None
+    if result.failed_minor_index is None or result.failed_minor is None:
+        raise RuntimeError("non-positive companion without its failed minor")
     return Decision(
         False,
         CompanionNotPositive(result.failed_minor_index, result.failed_minor, result.companion),

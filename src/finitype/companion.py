@@ -35,9 +35,7 @@ class SignAssignment:
         return all(self.sign(i, j) != 0 for i, j in g.arcs)
 
 
-def assign_signs(
-    g: Quiver, inventory: CycleInventory, *, _plain_negation: bool = False
-) -> SignAssignment:
+def assign_signs(g: Quiver, inventory: CycleInventory) -> SignAssignment:
     """Choose edge signs so the sign condition holds on every chordless cycle.
 
     Single-edge components get +1.  Cycles are consumed from the stack in
@@ -47,9 +45,8 @@ def assign_signs(
     which makes the edge-sign product around the cycle equal (-1)^(t+1)
     and hence the product of (-c_ij) equal -1 times a positive number.
 
-    ``_plain_negation`` switches the deferred edge to plain -product; kept
-    only for differential testing, it breaks the sign condition on cycles
-    of odd length and is not supported behavior.
+    Raises ValueError when a popped cycle has every edge already signed,
+    as happens when the inventory lists a cycle twice.
     """
     signs: dict[tuple[int, int], int] = {edge: 1 for edge in inventory.single_edges}
     for cycle in inventory.popped():
@@ -66,8 +63,9 @@ def assign_signs(
                 deferred = e
             else:
                 signs[e] = 1
-        assert deferred is not None, "popped cycle has every edge already defined"
-        signs[deferred] = -prod if _plain_negation else (-1) ** (t + 1) * prod
+        if deferred is None:
+            raise ValueError("popped cycle has every edge already signed")
+        signs[deferred] = (-1) ** (t + 1) * prod
     return SignAssignment(signs)
 
 
@@ -112,7 +110,8 @@ def build_companion(form: SkewForm, signs: SignAssignment) -> QuasiCartanCompani
     c = companion.C.entries
     for i in range(n):
         for j in range(i + 1, n):
-            assert d[i] * c[i][j] == d[j] * c[j][i], "companion lost B's symmetrizer"
+            if d[i] * c[i][j] != d[j] * c[j][i]:
+                raise RuntimeError("companion lost B's symmetrizer")
     return companion
 
 

@@ -2,9 +2,18 @@
 
 Everything here is exact: matrices hold arbitrary-precision Python ints,
 symmetrizers are built with ``fractions.Fraction`` and canonicalized to
-coprime positive integers, and determinants come from fraction-free
-(Bareiss) elimination.  No floating point anywhere; the positivity test
-needs the exact sign of every leading principal minor.
+coprime positive integers, and ``D*B`` is checked in integers.  No floating
+point anywhere; the positivity test needs the exact sign of every leading
+principal minor.
+
+One routine, ``_pivots``, does all elimination: fraction-free (Bareiss)
+steps over sparse rows of a leading block.  Its k-th value is the k-th
+leading minor of the block.  On a zero pivot it swaps in the first lower
+row with a nonzero in that column, negated, which keeps the determinant, so
+every later value is still a leading minor of the modified block and the
+last one is the determinant; with no such row the block is singular and the
+routine stops after the zero.  Values up to and including the first zero
+are therefore the leading minors of the matrix itself.
 """
 
 from __future__ import annotations
@@ -12,8 +21,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class NotSkewSymmetrizableError(ValueError):
@@ -44,13 +54,6 @@ class SquareIntMatrix:
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def leading_submatrix(self, k: int) -> "SquareIntMatrix":
-        """Top-left k-by-k block."""
-        return SquareIntMatrix(k, tuple(row[:k] for row in self.entries[:k]))
-
-    def transpose(self) -> "SquareIntMatrix":
-        return SquareIntMatrix(self.n, tuple(zip(*self.entries)) if self.n else ())
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,20 @@ class SkewForm:
     D: DiagonalRational
 
     def __post_init__(self) -> None:
+        """Check d_i * b_ij == -d_j * b_ji at every nonzero entry.
+
+        With D positive this also forces a zero diagonal and each pair
+        both zero or opposite in sign: a nonzero entry whose partner breaks
+        that rule fails the equation at the entry itself.
+        """
         if self.B.n != self.D.n:
             raise ValueError("matrix and symmetrizer dimensions differ")
-        if not is_skew_symmetric_by_signs(self.B):
-            raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
         b, d = self.B.entries, self.D.d
-        for i in range(self.B.n):
-            for j in range(i + 1, self.B.n):
-                if d[i] * b[i][j] != -d[j] * b[j][i]:
+        for i, row in enumerate(b):
+            for j in compress(range(len(row)), row):
+                if d[i] * row[j] != -d[j] * b[j][i]:
                     raise NotSkewSymmetrizableError(
-                        f"D*B is not skew-symmetric at ({i}, {j})"
+                        f"D*B is not skew-symmetric at vertices ({i + 1}, {j + 1})"
                     )
 
     @property
@@ -111,92 +118,83 @@ class SkewForm:
         return self.B.n
 
 
+def _neighbors(B: SquareIntMatrix) -> list[list[tuple[int, int]]]:
+    """Nonzero (column, value) pairs per row, in column order.
+
+    Raises NotSkewSymmetrizableError on a nonzero diagonal entry, or on a
+    nonzero entry whose partner is zero or has the same sign.
+    """
+    b = B.entries
+    out = []
+    for i, row in enumerate(b):
+        pairs = [(j, row[j]) for j in compress(range(len(row)), row)]
+        for j, v in pairs:
+            if v * b[j][i] >= 0:  # includes i == j, where the partner is v itself
+                raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
+        out.append(pairs)
+    return out
+
+
 def is_skew_symmetric_by_signs(B: SquareIntMatrix) -> bool:
     """Zero diagonal, and each off-diagonal pair both zero or opposite in sign."""
-    b = B.entries
-    for i in range(B.n):
-        if b[i][i] != 0:
-            return False
-        for j in range(i + 1, B.n):
-            x, y = b[i][j], b[j][i]
-            if not ((x == 0 and y == 0) or x * y < 0):
-                return False
+    try:
+        _neighbors(B)
+    except NotSkewSymmetrizableError:
+        return False
     return True
 
 
 def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
     """Find the canonical positive diagonal D with D*B skew-symmetric.
 
-    One free scale exists per connected component of the zero/nonzero
-    pattern graph; it is fixed by setting d = 1 on the smallest vertex of
-    the component and propagating d_j = d_i * (-b_ij / b_ji) breadth-first.
-    Every edge is re-verified afterwards, which catches inconsistent
+    One pass collects the nonzero pairs and rejects sign violations.  One
+    free scale exists per connected component of that pattern; it is fixed
+    by setting d = 1 on the smallest vertex of the component and
+    propagating d_j = d_i * (-b_ij / b_ji) breadth-first.  The SkewForm
+    then checks D*B at every nonzero entry, which catches inconsistent
     cycles.  Raises NotSkewSymmetrizableError when no D exists.
     """
-    if not is_skew_symmetric_by_signs(B):
-        raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
-    n, b = B.n, B.entries
-    d: list[Optional[Fraction]] = [None] * n
-    for root in range(n):
+    adjacency = _neighbors(B)
+    b = B.entries
+    d: list[Optional[Fraction]] = [None] * B.n
+    for root in range(B.n):
         if d[root] is not None:
             continue
         d[root] = Fraction(1)
         queue = deque([root])
         while queue:
             i = queue.popleft()
-            for j in range(n):
-                if b[i][j] == 0 or d[j] is not None:
-                    continue
-                # sign rule guarantees -b_ij / b_ji > 0
-                d[j] = d[i] * Fraction(-b[i][j], b[j][i])
-                queue.append(j)
-    values = [v for v in d if v is not None]
-    assert len(values) == n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] * b[i][j] != -values[j] * b[j][i]:
-                raise NotSkewSymmetrizableError(
-                    f"inconsistent symmetrizer ratios around a cycle through ({i}, {j})"
-                )
-    return SkewForm(B, DiagonalRational.from_fractions(values))
+            for j, v in adjacency[i]:
+                if d[j] is None:
+                    d[j] = d[i] * Fraction(-v, b[j][i])
+                    queue.append(j)
+    return SkewForm(B, DiagonalRational.from_fractions(d))
 
 
-def _sparse_rows(M: SquareIntMatrix) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in M.entries]
+def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
+    """Fraction-free elimination pivots of the leading size-by-size block.
 
-
-def _bareiss_minors(
-    M: SquareIntMatrix, stop_nonpositive: bool = False
-) -> tuple[list[int], bool]:
-    """Leading principal minors by fraction-free elimination.
-
-    Rows are kept as sparse {column: value} dicts, so banded input costs
-    O(n * nonzeros) instead of O(n^3).  After step k the (k+1)-th diagonal
-    entry equals the (k+1)-th leading minor; each division below is exact.
-
-    Returns (minors, blocked).  ``blocked`` is True when elimination had to
-    stop before producing all n minors: either a zero pivot (the next step
-    would divide by it) or, with ``stop_nonpositive``, a minor <= 0.
+    Rows are sparse {column: value} dicts, so banded input costs
+    O(size * nonzeros) instead of O(size^3); every division is exact.  See
+    the module docstring for what the values are and the zero-pivot rule.
     """
-    n = M.n
-    rows = _sparse_rows(M)
-    minors: list[int] = []
+    rows = [{j: row[j] for j in compress(range(size), row)} for row in M.entries[:size]]
     prev = 1
-    for k in range(n):
+    for k in range(size):
         p = rows[k].get(k, 0)
-        minors.append(p)
-        if stop_nonpositive and p <= 0:
-            return minors, True
-        if k == n - 1:
-            break
+        yield p
         if p == 0:
-            return minors, True
+            swap = next((i for i in range(k + 1, size) if k in rows[i]), None)
+            if swap is None:
+                return
+            rows[k], rows[swap] = {j: -v for j, v in rows[swap].items()}, rows[k]
+            p = rows[k][k]
         pivot_row = [(j, w) for j, w in rows[k].items() if j > k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, size):
             ri = rows[i]
             aik = ri.pop(k, 0)
             if aik == 0:
-                if ri:
+                if ri and p != prev:
                     rows[i] = {j: v * p // prev for j, v in ri.items()}
                 continue
             merged = {j: v * p for j, v in ri.items()}
@@ -208,88 +206,34 @@ def _bareiss_minors(
                     del merged[j]
             rows[i] = {j: v // prev for j, v in merged.items()}
         prev = p
-    return minors, False
+
+
+def _block_determinant(M: SquareIntMatrix, size: int) -> int:
+    det = 1
+    for det in _pivots(M, size):
+        pass
+    return det
 
 
 def determinant(M: SquareIntMatrix) -> int:
-    """Exact determinant: fraction-free elimination with row pivoting."""
-    n = M.n
-    if n == 0:
-        return 1
-    rows = _sparse_rows(M)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if rows[k].get(k, 0) == 0:
-            for i in range(k + 1, n):
-                if rows[i].get(k, 0) != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        p = rows[k][k]
-        if k == n - 1:
-            return sign * p
-        pivot_row = [(j, w) for j, w in rows[k].items() if j > k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            aik = ri.pop(k, 0)
-            if aik == 0:
-                if ri:
-                    rows[i] = {j: v * p // prev for j, v in ri.items()}
-                continue
-            merged = {j: v * p for j, v in ri.items()}
-            for j, w in pivot_row:
-                val = merged.get(j, 0) - aik * w
-                if val:
-                    merged[j] = val
-                elif j in merged:
-                    del merged[j]
-            rows[i] = {j: v // prev for j, v in merged.items()}
-        prev = p
-    raise AssertionError("unreachable")
+    """Exact determinant; the empty matrix has determinant 1."""
+    return _block_determinant(M, M.n)
 
 
 def leading_principal_minors(M: SquareIntMatrix) -> list[int]:
     """det(M[:k, :k]) for k = 1..n, exactly.
 
-    The single elimination pass covers everything up to and including the
-    first zero minor; any minors past a zero pivot are recomputed
-    independently per block (rare, and only hit by singular leading
-    blocks).
+    One elimination pass covers everything up to and including the first
+    zero minor; each minor past it comes from a fresh pass over its own
+    block (rare, and only hit by singular leading blocks).
     """
-    minors, blocked = _bareiss_minors(M)
-    if blocked:
-        while len(minors) < M.n:
-            minors.append(determinant(M.leading_submatrix(len(minors) + 1)))
-    return minors
-
-
-def _dense_first_nonpositive(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
-    """Dense variant of the early-exit minor scan; cheap for small matrices."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
-            return k + 1, p
-        if k == n - 1:
+    minors: list[int] = []
+    for p in _pivots(M, M.n):
+        minors.append(p)
+        if p == 0:
             break
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            if aik:
-                for j in range(k + 1, n):
-                    row_i[j] = (p * row_i[j] - aik * row_k[j]) // prev
-            elif prev != p:
-                for j in range(k + 1, n):
-                    if row_i[j]:
-                        row_i[j] = p * row_i[j] // prev
-        prev = p
-    return None
+    minors.extend(_block_determinant(M, k) for k in range(len(minors) + 1, M.n + 1))
+    return minors
 
 
 def first_nonpositive_minor(M: SquareIntMatrix) -> Optional[tuple[int, int]]:
@@ -297,11 +241,9 @@ def first_nonpositive_minor(M: SquareIntMatrix) -> Optional[tuple[int, int]]:
 
     k counts block size, so it is 1-based by nature.
     """
-    if M.n <= 32:
-        return _dense_first_nonpositive(M.entries)
-    minors, blocked = _bareiss_minors(M, stop_nonpositive=True)
-    if blocked and minors[-1] <= 0:
-        return len(minors), minors[-1]
+    for k, p in enumerate(_pivots(M, M.n), start=1):
+        if p <= 0:
+            return k, p
     return None
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .companion import QuasiCartanCompanion
-from .exactmat import SkewForm, SquareIntMatrix, _dense_first_nonpositive
+from .exactmat import SkewForm, SquareIntMatrix
 
 DEFAULT_CLASS_LIMIT = 100_000
 DEFAULT_ARC_CAP = 20
@@ -128,6 +128,35 @@ def explore_mutation_class(
     return MutationClassReport(ClassStatus.FINITE_CLASS, len(seen), limit)
 
 
+def _is_positive_dense(rows: list[list[int]]) -> bool:
+    """Every leading principal minor of ``rows`` is positive.
+
+    Dense fraction-free elimination that stops at the first pivot <= 0;
+    the search keeps its own copy so it shares no elimination code with
+    the decision it cross-checks.  ``rows`` is left untouched.
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            if aik:
+                for j in range(k + 1, n):
+                    row_i[j] = (p * row_i[j] - aik * row_k[j]) // prev
+            elif prev != p:
+                for j in range(k + 1, n):
+                    if row_i[j]:
+                        row_i[j] = p * row_i[j] // prev
+        prev = p
+    return True
+
+
 def brute_force_positive_companion(
     form: SkewForm, arc_cap: int = DEFAULT_ARC_CAP
 ) -> Optional[QuasiCartanCompanion]:
@@ -147,6 +176,6 @@ def brute_force_positive_companion(
         for (i, j), s in zip(arcs, pattern):
             rows[i][j] = s * base[i][j]
             rows[j][i] = s * base[j][i]
-        if _dense_first_nonpositive(rows) is None:
+        if _is_positive_dense(rows):
             return QuasiCartanCompanion(SquareIntMatrix.from_rows(rows))
     return None

@@ -40,13 +40,6 @@ class Quiver:
     def has_arc(self, i: int, j: int) -> bool:
         return (i, j) in self.arcs
 
-    def weight(self, i: int, j: int) -> int:
-        return self.arcs[(i, j)]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Underlying undirected edges, sorted (min, max) pairs."""
-        return sorted(edge_key(i, j) for i, j in self.arcs)
-
     @property
     def edge_count(self) -> int:
         return len(self.arcs)
@@ -136,23 +129,16 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
     return components
 
 
-class Orientation(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 @dataclass(frozen=True)
 class ChordlessCycle:
     """Cyclically oriented chordless cycle in canonical form.
 
     The vertex list is rotated so the smallest vertex comes first and
     directed so every arc points from each vertex to its successor
-    (wrapping around); ``orientation`` reports which way the arcs run
-    along the stored order, hence FORWARD for canonical cycles.
+    (wrapping around).
     """
 
     vertices: tuple[int, ...]
-    orientation: Orientation = Orientation.FORWARD
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -230,7 +216,7 @@ def _emit_cycle(g: Quiver, walk: list[int]) -> ChordlessCycle:
         raise NotCyclicallyOrientedError(NonCyclicCycle(_canonical_undirected(walk)))
     ordered = walk if forward == t else walk[::-1]
     start = ordered.index(min(ordered))
-    return ChordlessCycle(tuple(ordered[start:] + ordered[:start]), Orientation.FORWARD)
+    return ChordlessCycle(tuple(ordered[start:] + ordered[:start]))
 
 
 def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[ChordlessCycle]:
@@ -267,7 +253,8 @@ def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[ChordlessC
         if cur == v:
             # the whole component collapsed to one cycle
             walk = [v] + left
-            assert alive == set(walk), "closed ear inside a larger two-connected component"
+            if alive != set(walk):
+                raise RuntimeError("closed ear inside a larger two-connected component")
             found.append(_emit_cycle(g, walk))
             alive.clear()
             continue
@@ -279,7 +266,8 @@ def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[ChordlessC
             nxt = next(iter(adj[cur] - {prev}))
             prev, cur = cur, nxt
         w = cur
-        assert u != w, "ear closes on a cut vertex inside a two-connected component"
+        if u == w:
+            raise RuntimeError("ear closes on a cut vertex inside a two-connected component")
         if w not in adj[u]:
             blocked.append(v)
             continue
@@ -322,5 +310,6 @@ def chordless_cycles_cod(g: Quiver) -> CycleInventory:
         if mc > 2 * nc - 3:
             raise NotCyclicallyOrientedError(EdgeBoundExceeded(comp.vertices, mc, 2 * nc - 3))
         cycles.extend(_reduce_component(g, comp))
-    assert len(cycles) <= g.n, "more chordless cycles than vertices"
+    if len(cycles) > g.n:
+        raise RuntimeError("more chordless cycles than vertices")
     return CycleInventory(tuple(cycles), frozenset(single_edges))

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -42,6 +43,28 @@ def test_parse_errors():
     for text in ["", "x", "2\n0 1", "2\n0 1\n-1 0 0", "2\n0 a\n-1 0", "-1"]:
         with pytest.raises(MatrixParseError):
             parse_matrix(text)
+
+
+@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11"])
+def test_parse_rejects_non_ascii_grammar_entry(entry):
+    # underscore separators, an explicit plus, Arabic-Indic and fullwidth digits
+    with pytest.raises(MatrixParseError, match="row 1 contains a non-integer entry"):
+        parse_matrix(f"2\n0 {entry}\n-1 0\n")
+
+
+@pytest.mark.parametrize("dimension", ["+2", "0_2", "\u0662"])
+def test_parse_rejects_non_ascii_grammar_dimension(dimension):
+    with pytest.raises(MatrixParseError, match="first line must be the dimension"):
+        parse_matrix(f"{dimension}\n0 1\n-1 0\n")
+
+
+def test_parse_entry_over_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    long_entry = "-" + "1" * (limit + 1)
+    with pytest.raises(MatrixParseError, match=f"row 2 has an entry longer than {limit} digits"):
+        parse_matrix(f"2\n0 1\n{long_entry} 0\n")
+    # the longest allowed entry still parses
+    assert parse_matrix(f"1\n{'0' * limit}\n").entries == ((0,),)
 
 
 def test_format_round_trip():
@@ -191,6 +214,20 @@ def test_json_decide_domain_error(capsys):
     code, report = run_json(capsys, "decide", path("badsign.mat"))
     assert code == 2
     assert report["error"]["kind"] == "not_skew_symmetrizable"
+
+
+def test_symmetrizer_error_names_vertices_1_based(capsys, tmp_path):
+    # ratios 1/2, 1 and 1 around the triangle: the check fails between vertices 2 and 3
+    doc = tmp_path / "inconsistent.mat"
+    doc.write_text("3\n0 1 -1\n-2 0 1\n1 -1 0\n")
+    assert run_command(["decide", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: D*B is not skew-symmetric at vertices (2, 3)\n"
+    code, report = run_json(capsys, "decide", str(doc))
+    assert code == 2
+    assert report["error"] == {
+        "kind": "not_skew_symmetrizable",
+        "detail": "D*B is not skew-symmetric at vertices (2, 3)",
+    }
 
 
 def test_json_parse_error(capsys, tmp_path):

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import finitype
 
 from finitype import (
     CycleInventory,
@@ -131,21 +137,35 @@ def test_sign_condition_holds_on_every_cycle():
         assert satisfies_sign_condition(companion, inv.cycles)
 
 
-def test_plain_negation_breaks_odd_cycles():
-    form, g, inv = pipeline(cyclic_triangle())
-    legacy = build_companion(form, assign_signs(g, inv, _plain_negation=True))
-    assert not satisfies_sign_condition(legacy, inv.cycles)
-    # on even cycles both rules coincide with the sign condition
-    form, g, inv = pipeline(cyclic_cycle(4))
-    legacy = build_companion(form, assign_signs(g, inv, _plain_negation=True))
-    assert satisfies_sign_condition(legacy, inv.cycles)
-
-
 def test_duplicate_cycle_in_inventory_asserts():
     form, g, inv = pipeline(cyclic_triangle())
     doubled = CycleInventory(inv.cycles * 2, inv.single_edges)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         assign_signs(g, doubled)
+
+
+DUPLICATE_CYCLE_SCRIPT = """
+from finitype import (CycleInventory, SquareIntMatrix, assign_signs, build_quiver,
+                      chordless_cycles_cod, compute_skew_symmetrizer)
+form = compute_skew_symmetrizer(SquareIntMatrix.from_rows([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
+g = build_quiver(form)
+inv = chordless_cycles_cod(g)
+try:
+    assign_signs(g, CycleInventory(inv.cycles * 2, inv.single_edges))
+except ValueError:
+    print("rejected")
+"""
+
+
+def test_duplicate_cycle_rejected_under_python_O():
+    # -O strips assert statements; the check must not depend on them
+    src = str(Path(finitype.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DUPLICATE_CYCLE_SCRIPT],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_flip_conjugation_preserves_positivity():

@@ -15,7 +15,7 @@ from finitype import (
     leading_principal_minors,
 )
 
-from helpers import cofactor_det, cofactor_leading_minors, random_skew_rows
+from helpers import cofactor_det, cofactor_leading_minors, fraction_gauss_det, random_skew_rows
 
 
 M = SquareIntMatrix.from_rows
@@ -33,6 +33,17 @@ def test_skew_by_signs_rejects_nonzero_diagonal():
 
 def test_skew_by_signs_rejects_half_zero_pair():
     assert not is_skew_symmetric_by_signs(M([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [-1, 0]],  # nonzero diagonal
+    [[0, 0, 0], [0, 0, 0], [0, 0, -2]],  # nonzero diagonal, no other entry
+    [[0, 1], [0, 0]],  # half-zero pair, upper triangle
+    [[0, 0, 0], [0, 0, 0], [0, 3, 0]],  # half-zero pair, lower triangle
+])
+def test_symmetrizer_rejects_sign_violations(rows):
+    with pytest.raises(NotSkewSymmetrizableError, match="not skew-symmetric by signs"):
+        compute_skew_symmetrizer(M(rows))
 
 
 def test_symmetrizer_skew_symmetric_input():
@@ -112,8 +123,12 @@ def _connected(rows) -> bool:
 
 
 def test_skew_form_validates():
-    with pytest.raises(NotSkewSymmetrizableError):
+    with pytest.raises(NotSkewSymmetrizableError, match=r"at vertices \(1, 2\)"):
         SkewForm(M([[0, 1], [-3, 0]]), DiagonalRational((1, 1)))
+    # a symmetrizer cannot make a nonzero diagonal or a half-zero pair skew
+    for rows in ([[0, 0], [0, 5]], [[0, 0], [2, 0]]):
+        with pytest.raises(NotSkewSymmetrizableError):
+            SkewForm(M(rows), DiagonalRational((1, 1)))
 
 
 def test_diagonal_rational_canonical_only():
@@ -172,7 +187,7 @@ def test_first_nonpositive_minor():
 
 
 def test_first_nonpositive_consistent_with_minors_across_sizes():
-    # exercises both the dense (small n) and sparse (large n) scan paths
+    # sizes up to 40, with zero and negative diagonal entries
     rng = random.Random(515)
     for _ in range(40):
         n = rng.randint(1, 40)
@@ -183,6 +198,39 @@ def test_first_nonpositive_consistent_with_minors_across_sizes():
         minors = leading_principal_minors(mat)
         expected = next(((k + 1, m) for k, m in enumerate(minors) if m <= 0), None)
         assert first_nonpositive_minor(mat) == expected
+
+
+def _zero_pivot_at(rng, n: int, k: int) -> list[list[int]]:
+    """Random n x n rows whose leading k x k block is singular (rows k-2 and k-1 agree on it)."""
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(1, 4)
+    rows[k - 1][:k] = rows[k - 2][:k]
+    return rows
+
+
+def test_minors_and_determinant_past_zero_pivot_large():
+    rng = random.Random(4040)
+    for _ in range(3):
+        n = 40
+        rows = _zero_pivot_at(rng, n, 20)
+        minors = leading_principal_minors(M(rows))
+        expected = [fraction_gauss_det([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+        assert minors == expected
+        assert minors[19] == 0 and minors[-1] != 0
+        assert determinant(M(rows)) == expected[-1]
+        assert first_nonpositive_minor(M(rows)) == next(
+            (k + 1, m) for k, m in enumerate(minors) if m <= 0
+        )
+
+
+def test_determinant_zero_column_below_pivot():
+    # column 19 is zero from row 19 down after elimination: singular, no row to swap in
+    rng = random.Random(4141)
+    rows = _zero_pivot_at(rng, 40, 20)
+    for i in range(19, 40):
+        rows[i][:20] = rows[18][:20]
+    assert determinant(M(rows)) == 0 == fraction_gauss_det(rows)
 
 
 def test_is_positive_sign_flip_invariance():
