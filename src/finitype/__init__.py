@@ -8,25 +8,20 @@ exploration and exhaustive companion search) are included for
 cross-validation on small instances.
 """
 
-from .cli import (
-    Certificate,
-    CompanionNotPositive,
-    Decision,
-    MatrixParseError,
-    decide,
-    decide_matrix,
-    format_matrix,
-    parse_matrix,
-    run_command,
-)
+from .cli import MatrixParseError, decide, format_matrix, parse_matrix, run_command
 from .companion import (
-    CompanionDecision,
     QuasiCartanCompanion,
     SignAssignment,
     assign_signs,
     build_companion,
-    positive_companion_exists,
     satisfies_sign_condition,
+)
+from .decision import (
+    Certificate,
+    CompanionNotPositive,
+    Decision,
+    decide_matrix,
+    positive_companion_exists,
 )
 from .exactmat import (
     DiagonalRational,
@@ -68,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "ChordlessCycle",
-    "CompanionDecision",
     "CompanionNotPositive",
     "ComponentKind",
     "CycleInventory",

@@ -1,10 +1,9 @@
-"""Command-line front end and the top-level finite-type decision.
+"""Command-line front end: documents in, reports out.
 
-Pipeline: validate the input as skew-symmetrizable, build its oriented
-graph, enumerate chordless cycles (rejecting non-cyclically-oriented
-graphs), then build the sign-condition companion and test positivity.
-FiniteType verdicts carry a certificate (cycles, companion, minors) that
-an independent positivity check can re-verify.
+This module only parses documents, runs the library's stages and renders
+their results; the decision itself lives in ``finitype.decision``.  Every
+handler looks ``parse_matrix`` and ``decide_matrix`` up as names of this
+module at call time, so a caller may substitute either for one run.
 
 Matrix documents: first non-comment line is n, followed by n rows of n
 space-separated integers; ``#`` starts a comment, blank lines are
@@ -20,10 +19,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from itertools import compress
+from typing import Optional, Sequence
 
-from .companion import QuasiCartanCompanion, positive_companion_exists
+from .decision import Certificate, CompanionNotPositive, Decision, Reason, decide_matrix
 from .exactmat import (
     NotSkewSymmetrizableError,
     SquareIntMatrix,
@@ -40,7 +39,6 @@ from .oracle import (
 )
 from .quiver import (
     ChordlessCycle,
-    CycleInventory,
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
@@ -113,65 +111,6 @@ def format_matrix(matrix: SquareIntMatrix) -> str:
     lines = [str(matrix.n)]
     lines.extend(" ".join(str(v) for v in row) for row in matrix.entries)
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class CompanionNotPositive:
-    """The sign-condition companion has a non-positive leading principal minor."""
-
-    minor_index: int
-    minor: int
-    companion: QuasiCartanCompanion
-    kind: str = field(default="companion_not_positive", init=False)
-
-
-Reason = Union[EdgeBoundExceeded, NonCyclicCycle, StructuralFailure, CompanionNotPositive]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Checkable evidence for a FiniteType verdict."""
-
-    inventory: CycleInventory
-    companion: QuasiCartanCompanion
-    minors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Decision:
-    finite: bool
-    reason: Optional[Reason]
-    certificate: Optional[Certificate]
-
-    @property
-    def verdict(self) -> str:
-        return "FiniteType" if self.finite else "NotFinite"
-
-
-def decide_matrix(matrix: SquareIntMatrix) -> Decision:
-    """Finite-type decision for a parsed matrix.
-
-    Raises NotSkewSymmetrizableError for matrices outside the input
-    domain; that is not a NotFinite verdict.
-    """
-    form = compute_skew_symmetrizer(matrix)
-    g = build_quiver(form)
-    try:
-        inventory = chordless_cycles_cod(g)
-    except NotCyclicallyOrientedError as err:
-        return Decision(False, err.witness, None)
-    result = positive_companion_exists(form, g, inventory)
-    if result.positive:
-        if result.minors is None:
-            raise RuntimeError("positive companion without its minors")
-        return Decision(True, None, Certificate(inventory, result.companion, result.minors))
-    if result.failed_minor_index is None or result.failed_minor is None:
-        raise RuntimeError("non-positive companion without its failed minor")
-    return Decision(
-        False,
-        CompanionNotPositive(result.failed_minor_index, result.failed_minor, result.companion),
-        None,
-    )
 
 
 def decide(document: str) -> Decision:
@@ -262,8 +201,15 @@ def _class_report_text(report: MutationClassReport) -> str:
 # subcommand handlers: each returns (exit_code, json payload, text lines)
 
 def _load(path: str) -> SquareIntMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise MatrixParseError(
+            f"document is not valid UTF-8: {err.reason} at byte offset {err.start}"
+        ) from None
+    return parse_matrix(text)
 
 
 def _cmd_decide(args) -> tuple[int, dict, list[str]]:
@@ -282,17 +228,19 @@ def _cmd_decide(args) -> tuple[int, dict, list[str]]:
     return EXIT_NOT_FINITE, payload, [decision.verdict, "reason: " + _reason_text(decision.reason)]
 
 
+def _not_oriented(witness: Reason) -> tuple[int, dict, list[str]]:
+    payload = {"cyclically_oriented": False, "witness": _reason_json(witness)}
+    lines = ["cyclically oriented: no", "witness: " + _reason_text(witness)]
+    return EXIT_NOT_FINITE, payload, lines
+
+
 def _cmd_cycles(args) -> tuple[int, dict, list[str]]:
     form = compute_skew_symmetrizer(_load(args.file))
     g = build_quiver(form)
     try:
         inventory = chordless_cycles_cod(g)
     except NotCyclicallyOrientedError as err:
-        payload = {"cyclically_oriented": False, "witness": _reason_json(err.witness)}
-        return EXIT_NOT_FINITE, payload, [
-            "cyclically oriented: no",
-            "witness: " + _reason_text(err.witness),
-        ]
+        return _not_oriented(err.witness)
     payload = {
         "cyclically_oriented": True,
         "cycles": [_cycle_1based(c) for c in inventory.cycles],
@@ -305,36 +253,32 @@ def _cmd_cycles(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_companion(args) -> tuple[int, dict, list[str]]:
-    form = compute_skew_symmetrizer(_load(args.file))
-    g = build_quiver(form)
-    try:
-        inventory = chordless_cycles_cod(g)
-    except NotCyclicallyOrientedError as err:
-        payload = {"cyclically_oriented": False, "witness": _reason_json(err.witness)}
-        return EXIT_NOT_FINITE, payload, [
-            "cyclically oriented: no",
-            "witness: " + _reason_text(err.witness),
-        ]
-    result = positive_companion_exists(form, g, inventory)
-    signs = sorted(
-        [u + 1, v + 1, s] for (u, v), s in result.signs.signs.items()
-    )
+    decision = decide_matrix(_load(args.file))
+    result = decision.certificate if decision.finite else decision.reason
+    if not isinstance(result, (Certificate, CompanionNotPositive)):
+        return _not_oriented(result)
+    c = result.companion.C
+    # build_companion sets c_ij = s * |b_ij| on every edge, so the signs read back exactly
+    signs = [
+        [i + 1, j + 1, 1 if row[j] > 0 else -1]
+        for i, row in enumerate(c.entries) for j in compress(range(i + 1, c.n), row[i + 1:])
+    ]
     payload = {
         "cyclically_oriented": True,
-        "companion": _matrix_rows(result.companion.C),
+        "companion": _matrix_rows(c),
         "signs": signs,
-        "positive": result.positive,
+        "positive": decision.finite,
     }
-    lines = [format_matrix(result.companion.C).rstrip("\n")]
-    if result.positive:
+    lines = [format_matrix(c).rstrip("\n")]
+    if decision.finite:
         payload["minors"] = list(result.minors)
         lines.append("# positive: yes")
         lines.append("# minors: " + " ".join(str(m) for m in result.minors))
         return EXIT_FINITE, payload, lines
-    payload["failed_minor_index"] = result.failed_minor_index
-    payload["failed_minor"] = result.failed_minor
+    payload["failed_minor_index"] = result.minor_index
+    payload["failed_minor"] = result.minor
     lines.append("# positive: no")
-    lines.append(f"# leading minor {result.failed_minor_index} = {result.failed_minor}")
+    lines.append(f"# leading minor {result.minor_index} = {result.minor}")
     return EXIT_NOT_FINITE, payload, lines
 
 
@@ -376,8 +320,9 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_compare(args) -> tuple[int, dict, list[str]]:
-    decision = decide_matrix(_load(args.file))
-    form = compute_skew_symmetrizer(_load(args.file))
+    matrix = _load(args.file)
+    decision = decide_matrix(matrix)
+    form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
 
     # the brute-force companion search speaks to finite type only when the

@@ -11,14 +11,10 @@ one companion decides whether any positive companion exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
-from .exactmat import (
-    SkewForm,
-    SquareIntMatrix,
-    first_nonpositive_minor,
-    leading_principal_minors,
-)
+from .exactmat import SkewForm, SquareIntMatrix
 from .quiver import ChordlessCycle, CycleInventory, Quiver, edge_key
 
 
@@ -76,12 +72,13 @@ class QuasiCartanCompanion:
     C: SquareIntMatrix
 
     def __post_init__(self) -> None:
+        """Each nonzero c_ij needs a partner c_ji of the same sign; zero pairs pass."""
         c = self.C.entries
-        for i in range(self.C.n):
-            if c[i][i] != 2:
+        for i, row in enumerate(c):
+            if row[i] != 2:
                 raise ValueError("companion diagonal must be 2")
-            for j in range(i + 1, self.C.n):
-                if (c[i][j] == 0) != (c[j][i] == 0) or c[i][j] * c[j][i] < 0:
+            for j in compress(range(self.C.n), row):
+                if row[j] * c[j][i] <= 0:
                     raise ValueError("companion must be symmetric by signs")
 
     @property
@@ -90,27 +87,26 @@ class QuasiCartanCompanion:
 
 
 def build_companion(form: SkewForm, signs: SignAssignment) -> QuasiCartanCompanion:
-    """c_ii = 2 and c_ij = sign(i, j) * |b_ij|; signs must cover every edge of G(B)."""
-    n, b, d = form.n, form.B.entries, form.D.d
+    """c_ii = 2 and c_ij = sign(i, j) * |b_ij|; signs must cover every edge of G(B).
+
+    Only the nonzero entries of B are visited, in building and in the D*C
+    check alike: a zero pair passes that check trivially.
+    """
+    n, d = form.n, form.D.d
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(2)
-            elif b[i][j] == 0:
-                row.append(0)
-            else:
-                s = signs.sign(i, j)
-                if s == 0:
-                    raise ValueError(f"no sign assigned to edge ({i}, {j})")
-                row.append(s * abs(b[i][j]))
+    for i, b_row in enumerate(form.B.entries):
+        row = [0] * n
+        row[i] = 2
+        for j in compress(range(n), b_row):
+            s = signs.sign(i, j)
+            if s == 0:
+                raise ValueError(f"no sign assigned to edge ({i}, {j})")
+            row[j] = s * abs(b_row[j])
         rows.append(tuple(row))
     companion = QuasiCartanCompanion(SquareIntMatrix(n, tuple(rows)))
-    c = companion.C.entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i] * c[i][j] != d[j] * c[j][i]:
+    for i, row in enumerate(rows):
+        for j in compress(range(n), row):
+            if d[i] * row[j] != d[j] * rows[j][i]:
                 raise RuntimeError("companion lost B's symmetrizer")
     return companion
 
@@ -129,42 +125,3 @@ def satisfies_sign_condition(
         if prod >= 0:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CompanionDecision:
-    """Outcome of the positive-companion test, with the witness companion.
-
-    On success ``minors`` holds all leading principal minors of C (the
-    checkable certificate); on failure ``failed_minor_index`` is the size
-    of the first leading block whose determinant ``failed_minor`` is <= 0.
-    """
-
-    positive: bool
-    companion: QuasiCartanCompanion
-    signs: SignAssignment
-    minors: Optional[tuple[int, ...]] = None
-    failed_minor_index: Optional[int] = None
-    failed_minor: Optional[int] = None
-
-
-def positive_companion_exists(
-    form: SkewForm, g: Quiver, inventory: CycleInventory
-) -> CompanionDecision:
-    """Build the sign-condition companion and test its positivity.
-
-    For cyclically oriented G(B) this decides existence of any positive
-    quasi-Cartan companion: sign-condition companions are unique up to
-    simultaneous row/column sign flips, which preserve every leading
-    principal minor.
-    """
-    signs = assign_signs(g, inventory)
-    companion = build_companion(form, signs)
-    bad = first_nonpositive_minor(companion.C)
-    if bad is None:
-        minors = tuple(leading_principal_minors(companion.C))
-        return CompanionDecision(True, companion, signs, minors=minors)
-    index, value = bad
-    return CompanionDecision(
-        False, companion, signs, failed_minor_index=index, failed_minor=value
-    )

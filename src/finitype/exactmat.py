@@ -52,9 +52,6 @@ class SquareIntMatrix:
     def identity(cls, n: int) -> "SquareIntMatrix":
         return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
 
 @dataclass(frozen=True)
 class DiagonalRational:

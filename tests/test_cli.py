@@ -1,19 +1,29 @@
+import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import finitype.cli
 from finitype import (
     MatrixParseError,
     SquareIntMatrix,
+    assign_signs,
+    build_quiver,
+    chordless_cycles_cod,
+    compute_skew_symmetrizer,
     decide,
+    decide_matrix,
     format_matrix,
     parse_matrix,
     run_command,
 )
 from finitype.cli import ORACLE_LIMIT_ENV
+
+from helpers import from_arcs, random_cyclically_oriented_arcs
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -298,3 +308,83 @@ def test_json_compare_finite(capsys):
     assert report["verdict"] == "FiniteType"
     assert report["mutation_class"]["status"] == "FiniteClass"
     assert report["companion_search"]["found"] is True
+
+
+@pytest.mark.parametrize("command", ["decide", "cycles", "companion", "compare"])
+def test_non_utf8_document_is_a_parse_error(capsys, tmp_path, command):
+    doc = tmp_path / "latin1.mat"
+    doc.write_bytes(b"# caf\xe9\n2\n0 1\n-1 0\n")
+    assert run_command([command, str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: document is not valid UTF-8: invalid continuation byte at byte offset 5\n"
+    code, report = run_json(capsys, command, str(doc))
+    assert code == 2
+    assert report["error"]["kind"] == "parse_error"
+    # UTF-8 comments stay accepted
+    doc.write_text("# café — A2\n2\n0 1\n-1 0\n", encoding="utf-8")
+    assert run_command([command, str(doc)]) == 0
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the subcommands render the one decision
+
+def companion_json_checked(capsys, doc) -> dict:
+    """companion --json report, its signs checked against assign_signs (1-based, sorted)."""
+    code, report = run_json(capsys, "companion", str(doc))
+    assert code in (0, 1)
+    if report["cyclically_oriented"]:
+        form = compute_skew_symmetrizer(parse_matrix(doc.read_text()))
+        g = build_quiver(form)
+        signs = assign_signs(g, chordless_cycles_cod(g)).signs
+        assert report["signs"] == sorted([u + 1, v + 1, s] for (u, v), s in signs.items())
+        assert report["positive"] is (code == 0)
+    return report
+
+
+def test_companion_signs_match_assign_signs(capsys, tmp_path):
+    bundled = [companion_json_checked(capsys, doc) for doc in sorted(DATA.glob("*.mat"))
+               if doc.name != "badsign.mat"]
+    assert sum(r["cyclically_oriented"] for r in bundled) == 5
+    rng = random.Random(4242)
+    not_positive = 0
+    for k in range(120):
+        n, arcs = random_cyclically_oriented_arcs(rng, max_vertices=9, asym_weights=True)
+        doc = tmp_path / f"q{k}.mat"
+        doc.write_text(format_matrix(from_arcs(n, arcs)))
+        report = companion_json_checked(capsys, doc)
+        assert report["cyclically_oriented"]
+        not_positive += not report["positive"]
+    assert not_positive > 0
+
+
+def test_compare_parses_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_matrix(text)
+
+    monkeypatch.setattr(finitype.cli, "parse_matrix", counting_parse)
+    assert run_command(["compare", path("g2.mat")]) == 0
+    assert "AGREE" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_run_command_looks_up_parse_and_decide_at_call_time(capsys, monkeypatch):
+    # a markov document, but parsed as A2 and then decided with its certificate's minors changed
+    def fake_parse(text):
+        return parse_matrix("2\n0 1\n-1 0\n")
+
+    def fake_decide(matrix):
+        decision = decide_matrix(matrix)
+        cert = dataclasses.replace(decision.certificate, minors=(7, 7))
+        return dataclasses.replace(decision, certificate=cert)
+
+    monkeypatch.setattr(finitype.cli, "parse_matrix", fake_parse)
+    code, report = run_json(capsys, "decide", path("markov.mat"))
+    assert code == 0 and report["certificate"]["minors"] == [2, 3]
+    monkeypatch.setattr(finitype.cli, "decide_matrix", fake_decide)
+    code, report = run_json(capsys, "decide", path("markov.mat"))
+    assert code == 0 and report["certificate"]["minors"] == [7, 7]

@@ -9,6 +9,8 @@ import pytest
 import finitype
 
 from finitype import (
+    Certificate,
+    CompanionNotPositive,
     CycleInventory,
     SquareIntMatrix,
     assign_signs,
@@ -17,7 +19,9 @@ from finitype import (
     build_quiver,
     chordless_cycles_cod,
     compute_skew_symmetrizer,
+    decide_matrix,
     is_positive,
+    parse_matrix,
     positive_companion_exists,
     satisfies_sign_condition,
 )
@@ -102,16 +106,30 @@ def test_build_companion_requires_total_signs():
 def test_positive_examples():
     form, g, inv = pipeline(cyclic_triangle())
     res = positive_companion_exists(form, g, inv)
-    assert res.positive and res.minors == (2, 3, 4)
+    assert isinstance(res, Certificate) and res.minors == (2, 3, 4)
 
     form, g, inv = pipeline(markov())
     res = positive_companion_exists(form, g, inv)
-    assert not res.positive
-    assert res.failed_minor_index == 2 and res.failed_minor == 0
+    assert isinstance(res, CompanionNotPositive)
+    assert res.minor_index == 2 and res.minor == 0
 
     form, g, inv = pipeline(cyclic_cycle(4))
     res = positive_companion_exists(form, g, inv)
-    assert res.positive and res.minors == (2, 3, 4, 4)
+    assert isinstance(res, Certificate) and res.minors == (2, 3, 4, 4)
+
+
+def test_decision_carries_the_companion_result():
+    # the certificate or reason of a Decision is what positive_companion_exists returns
+    oriented = 0
+    for doc in sorted((Path(__file__).parent / "data").glob("*.mat")):
+        if doc.name in ("alt4cycle.mat", "badsign.mat"):
+            continue
+        matrix = parse_matrix(doc.read_text())
+        decision = decide_matrix(matrix)
+        res = positive_companion_exists(*pipeline(matrix))
+        assert res == (decision.certificate if decision.finite else decision.reason)
+        oriented += 1
+    assert oriented == 5
 
 
 def test_companion_keeps_symmetrizer():
@@ -179,7 +197,7 @@ def test_flip_conjugation_preserves_positivity():
         conjugated = SquareIntMatrix.from_rows(
             [[flips[i] * c[i][j] * flips[j] for j in range(n)] for i in range(n)]
         )
-        assert is_positive(conjugated) == res.positive
+        assert is_positive(conjugated) == isinstance(res, Certificate)
 
 
 def test_positivity_matches_symmetrized_form():
@@ -195,14 +213,14 @@ def test_positivity_matches_symmetrized_form():
         sym = [[d[i] * c[i][j] for j in range(n)] for i in range(n)]
         assert sym == [list(row) for row in zip(*sym)]
         classical = all(m > 0 for m in cofactor_leading_minors(sym))
-        assert classical == res.positive
+        assert classical == isinstance(res, Certificate)
 
 
 def test_empty_and_single_vertex_are_positive():
     for rows in ([], [[0]]):
         form, g, inv = pipeline(SquareIntMatrix.from_rows(rows))
         res = positive_companion_exists(form, g, inv)
-        assert res.positive
+        assert isinstance(res, Certificate)
 
 
 def test_matches_brute_force_on_small_quivers():
@@ -214,4 +232,4 @@ def test_matches_brute_force_on_small_quivers():
                 break
         form, g, inv = pipeline(from_arcs(n, arcs))
         res = positive_companion_exists(form, g, inv)
-        assert res.positive == (brute_force_positive_companion(form) is not None)
+        assert isinstance(res, Certificate) == (brute_force_positive_companion(form) is not None)
