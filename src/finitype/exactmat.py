@@ -14,6 +14,19 @@ every later value is still a leading minor of the modified block and the
 last one is the determinant; with no such row the block is singular and the
 routine stops after the zero.  Values up to and including the first zero
 are therefore the leading minors of the matrix itself.
+
+Step k of Bareiss elimination replaces each lower row by
+(p_k * a_ij - a_ik * a_kj) / p_{k-1}, with p_k the pivot of step k (the
+swapped-in one after a zero) and p_{-1} = 1.  A row with a_ik = 0 is only
+multiplied by p_k / p_{k-1}, so ``_pivots`` keeps a column index of the
+lower rows with a nonzero in each column and updates only those: on a
+path a step is O(1) work instead of O(n).  A row skipped from step s
+through step k - 1 still holds its step-s values, and the product of its
+skipped factors telescopes to p_{k-1} / p_{s-1}.  Every entry after any
+number of steps is a minor of the row-swapped matrix (Sylvester's
+identity, Bareiss 1968), hence an integer.  So multiplying a stale row by
+p_{k-1} and dividing by p_{s-1} is exact, and so is updating it at step k
+straight from its step-s values by (p_k * a_ij - a_ik * a_kj) / p_{s-1}.
 """
 
 from __future__ import annotations
@@ -171,38 +184,70 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
 def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
     """Fraction-free elimination pivots of the leading size-by-size block.
 
-    Rows are sparse {column: value} dicts, so banded input costs
-    O(size * nonzeros) instead of O(size^3); every division is exact.  See
-    the module docstring for what the values are and the zero-pivot rule.
+    Rows are sparse {column: value} dicts.  ``below[j]`` holds the lower
+    rows with a nonzero in column j, kept current on fill and
+    cancellation, and step k updates only the rows in ``below[k]``.  Row i
+    holds the values of step ``stamp[i]``, and ``scale[k]`` is p_{k-1},
+    the divisor of step k.  A stale row is brought up to date only when it
+    is used: as the pivot row or the row swapped in, it is multiplied by
+    scale[k] / scale[stamp[i]]; as a row to update, its Bareiss step
+    divides by scale[stamp[i]] instead of scale[k].  The module docstring
+    says why both divisions are exact, what the values are and the
+    zero-pivot rule.
     """
     rows = [{j: row[j] for j in compress(range(size), row)} for row in M.entries[:size]]
-    prev = 1
+    below: list[set[int]] = [set() for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j in row:
+            below[j].add(i)
+    scale = [1]
+    stamp = [0] * size
     for k in range(size):
-        p = rows[k].get(k, 0)
+        prev = scale[k]
+        pivot_row = _current(rows[k], prev, scale[stamp[k]])
+        for j in pivot_row:
+            below[j].discard(k)
+        p = pivot_row.get(k, 0)
         yield p
         if p == 0:
-            swap = next((i for i in range(k + 1, size) if k in rows[i]), None)
-            if swap is None:
+            if not below[k]:
                 return
-            rows[k], rows[swap] = {j: -v for j, v in rows[swap].items()}, rows[k]
-            p = rows[k][k]
-        pivot_row = [(j, w) for j, w in rows[k].items() if j > k]
-        for i in range(k + 1, size):
+            swap = min(below[k])
+            swapped = _current(rows[swap], -prev, scale[stamp[swap]])
+            for j in swapped:
+                below[j].discard(swap)
+            for j in pivot_row:
+                below[j].add(swap)
+            rows[swap], stamp[swap] = pivot_row, k
+            pivot_row = swapped
+            p = pivot_row[k]
+        rest = [(j, w) for j, w in pivot_row.items() if j != k]
+        for i in below[k]:
             ri = rows[i]
-            aik = ri.pop(k, 0)
-            if aik == 0:
-                if ri and p != prev:
-                    rows[i] = {j: v * p // prev for j, v in ri.items()}
-                continue
+            aik = ri.pop(k)
             merged = {j: v * p for j, v in ri.items()}
-            for j, w in pivot_row:
-                val = merged.get(j, 0) - aik * w
-                if val:
-                    merged[j] = val
-                elif j in merged:
-                    del merged[j]
-            rows[i] = {j: v // prev for j, v in merged.items()}
-        prev = p
+            for j, w in rest:
+                if j in merged:
+                    val = merged[j] - aik * w
+                    if val:
+                        merged[j] = val
+                    else:
+                        del merged[j]
+                        below[j].discard(i)
+                else:
+                    merged[j] = -aik * w
+                    below[j].add(i)
+            divisor = scale[stamp[i]]
+            rows[i] = {j: v // divisor for j, v in merged.items()}
+            stamp[i] = k + 1
+        scale.append(p)
+
+
+def _current(row: dict[int, int], num: int, den: int) -> dict[int, int]:
+    """Row values times num / den, exactly; the row itself when that is 1."""
+    if num == den:
+        return row
+    return {j: v * num // den for j, v in row.items()}
 
 
 def _block_determinant(M: SquareIntMatrix, size: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Union
 
 from .exactmat import SkewForm
@@ -46,18 +47,20 @@ class Quiver:
 
 
 def build_quiver(form: SkewForm) -> Quiver:
-    """Graph with an arc i -> j of weight b_ij for every b_ij > 0."""
+    """Graph with an arc i -> j of weight b_ij for every b_ij > 0.
+
+    Reads only the nonzero entries above the diagonal; a skew form's
+    pattern is symmetric, so they name every edge once.
+    """
     n, b = form.n, form.B.entries
     arcs: dict[tuple[int, int], int] = {}
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if b[i][j] > 0:
-                arcs[(i, j)] = b[i][j]
-            elif b[i][j] < 0:
-                arcs[(j, i)] = b[j][i]
+    for i, row in enumerate(b):
+        for j in compress(range(i + 1, n), row[i + 1:]):
+            if row[j] > 0:
+                arcs[(i, j)] = row[j]
             else:
-                continue
+                arcs[(j, i)] = b[j][i]
             adjacency[i].append(j)
             adjacency[j].append(i)
     return Quiver(n, arcs, tuple(tuple(sorted(adj)) for adj in adjacency))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from finitype import SquareIntMatrix
@@ -19,19 +20,24 @@ from finitype import SquareIntMatrix
 # independent determinants
 
 def cofactor_det(rows) -> int:
-    """Textbook cofactor expansion along the first row."""
+    """Textbook cofactor expansion along the first row, recursively.
+
+    Each minor is the block of the rows below and a set of columns, so it
+    is computed once per column set: O(n * 2^n) instead of O(n!).
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-    return total
+
+    @lru_cache(maxsize=None)
+    def expand(r: int, cols: tuple[int, ...]) -> int:
+        if r == n:
+            return 1
+        total = 0
+        for pos, c in enumerate(cols):
+            if rows[r][c]:
+                total += (-1) ** pos * rows[r][c] * expand(r + 1, cols[:pos] + cols[pos + 1:])
+        return total
+
+    return expand(0, tuple(range(n)))
 
 
 def cofactor_leading_minors(rows) -> list[int]:
@@ -52,6 +58,8 @@ def fraction_gauss_det(rows) -> Fraction:
             det = -det
         det *= a[k][k]
         for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
             factor = a[i][k] / a[k][k]
             for j in range(k, n):
                 a[i][j] -= factor * a[k][j]
@@ -174,6 +182,84 @@ def cyclic_cycle(n: int) -> SquareIntMatrix:
 
 def cyclic_triangle() -> SquareIntMatrix:
     return cyclic_cycle(3)
+
+
+# Exceptional and affine diagrams as (n, arcs) in the ``from_arcs`` format.
+# A weighted bond (a, c) has b_ij = a and b_ji = -c.
+
+def e_arcs(n: int) -> tuple[int, dict]:
+    """E6, E7, E8: path on 0..n-2 with vertex n-1 attached to vertex 2."""
+    arcs = {(i, i + 1): 1 for i in range(n - 2)}
+    arcs[(2, n - 1)] = 1
+    return n, arcs
+
+
+def f4_arcs() -> tuple[int, dict]:
+    return 4, {(0, 1): 1, (1, 2): (1, 2), (2, 3): 1}
+
+
+def affine_e_arcs(arms: tuple[int, ...]) -> tuple[int, dict]:
+    """Star with center 0 and arms of the given lengths: E~6 (2, 2, 2),
+    E~7 (3, 3, 1), E~8 (5, 2, 1)."""
+    arcs, n = {}, 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            arcs[(prev, n)] = 1
+            prev, n = n, n + 1
+    return n, arcs
+
+
+def affine_f4_arcs() -> tuple[int, dict]:
+    return 5, {(0, 1): 1, (1, 2): 1, (2, 3): (1, 2), (3, 4): 1}
+
+
+def affine_g2_arcs() -> tuple[int, dict]:
+    return 3, {(0, 1): 1, (1, 2): (1, 3)}
+
+
+def reversed_arcs(arcs: dict, mask: int) -> dict:
+    """Reverse the t-th arc (in insertion order) when bit t of mask is set."""
+    out = {}
+    for t, ((i, j), w) in enumerate(arcs.items()):
+        if mask >> t & 1:
+            out[(j, i)] = w[::-1] if isinstance(w, tuple) else w
+        else:
+            out[(i, j)] = w
+    return out
+
+
+def relabel(matrix: SquareIntMatrix, rng: random.Random) -> SquareIntMatrix:
+    """The same matrix under a random permutation of the vertices."""
+    n = matrix.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(matrix.entries):
+        for j, v in enumerate(row):
+            rows[perm[i]][perm[j]] = v
+    return SquareIntMatrix.from_rows(rows)
+
+
+def mutation_walk(matrix: SquareIntMatrix, steps: int, rng: random.Random) -> SquareIntMatrix:
+    """Mutate at `steps` random vertices (Fomin-Zelevinsky matrix mutation).
+
+    Only entries between two neighbors of k change, so a step costs
+    O(n + deg(k)^2) instead of O(n^2).
+    """
+    n = matrix.n
+    rows = [list(row) for row in matrix.entries]
+    for _ in range(steps):
+        k = rng.randrange(n)
+        nbrs = [i for i in range(n) if rows[i][k]]
+        for i in nbrs:
+            for j in nbrs:
+                if i != j:
+                    bik, bkj = rows[i][k], rows[k][j]
+                    rows[i][j] += (abs(bik) * bkj + bik * abs(bkj)) // 2
+        for i in nbrs:
+            rows[i][k], rows[k][i] = -rows[i][k], -rows[k][i]
+    return SquareIntMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,20 @@ from helpers import (
     brute_chordless_cycles,
     canonical_undirected,
     cyclic_cycle,
+    affine_e_arcs,
+    affine_f4_arcs,
+    affine_g2_arcs,
     d_fork,
+    e_arcs,
+    f4_arcs,
     from_arcs,
     g2,
     independent_leading_minor,
     markov,
     random_cyclically_oriented_arcs,
     random_skew_rows,
+    relabel,
+    reversed_arcs,
 )
 
 
@@ -72,6 +79,21 @@ def criterion(num: int, desc: str, budget_s: float | None = None):
 # ---------------------------------------------------------------------------
 # shared corpora (cached so criteria 4 and 5 can reuse earlier instances)
 
+def exceptional_and_affine() -> tuple[tuple[str, tuple[int, dict], bool], ...]:
+    """(name, (n, arcs), finite) for E6-E8, F4 and the affine E~6-E~8, F~4, G~2."""
+    return (
+        ("E6", e_arcs(6), True),
+        ("E7", e_arcs(7), True),
+        ("E8", e_arcs(8), True),
+        ("F4", f4_arcs(), True),
+        ("E~6", affine_e_arcs((2, 2, 2)), False),
+        ("E~7", affine_e_arcs((3, 3, 1)), False),
+        ("E~8", affine_e_arcs((5, 2, 1)), False),
+        ("F~4", affine_f4_arcs(), False),
+        ("G~2", affine_g2_arcs(), False),
+    )
+
+
 @lru_cache(maxsize=None)
 def golden_corpus() -> tuple[tuple[str, SquareIntMatrix, bool], ...]:
     cases: list[tuple[str, SquareIntMatrix, bool]] = []
@@ -84,6 +106,8 @@ def golden_corpus() -> tuple[tuple[str, SquareIntMatrix, bool], ...]:
     for n in range(4, 7):
         cases.append((f"D{n}", d_fork(n), True))
     cases.append(("G2", g2(), True))
+    for name, (n, arcs), finite in exceptional_and_affine():
+        cases.append((name, from_arcs(n, arcs), finite))
     cases.append(("Markov", markov(), False))
     cases.append(("alternating 4-cycle", alternating_square(), False))
     return tuple(cases)
@@ -163,10 +187,28 @@ def companion_stage(matrix: SquareIntMatrix):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_golden_verdicts():
-    with criterion(1, "golden verdicts for Dynkin families and counterexamples", 1.0):
+    with criterion(1, "golden verdicts for Dynkin and affine families and counterexamples", 1.0):
         for name, matrix, expect_finite in golden_corpus():
             decision = decide_matrix(matrix)
             assert decision.finite == expect_finite, name
+        # E, F and affine types in two orientations and one relabeling; every
+        # proper subdiagram of an affine diagram is Dynkin, so only minor n fails
+        rng = random.Random(6789)
+        for name, (n, arcs), expect_finite in exceptional_and_affine():
+            for matrix in (from_arcs(n, arcs), from_arcs(n, reversed_arcs(arcs, 0b10101010)),
+                           relabel(from_arcs(n, arcs), rng)):
+                decision = decide_matrix(matrix)
+                assert decision.finite == expect_finite, name
+                certificate, reason = decision.certificate, decision.reason
+                if not expect_finite:
+                    assert isinstance(reason, CompanionNotPositive), name
+                rows = (certificate or reason).companion.C.entries
+                independent = tuple(independent_leading_minor(rows, k) for k in range(1, n + 1))
+                assert all(m > 0 for m in independent[:-1]), name
+                if expect_finite:
+                    assert certificate.minors == independent and independent[-1] > 0, name
+                else:
+                    assert (reason.minor_index, reason.minor, independent[-1]) == (n, 0, 0), name
         markov_decision = decide_matrix(markov())
         assert isinstance(markov_decision.reason, CompanionNotPositive)
         alt = decide_matrix(alternating_square())

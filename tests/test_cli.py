@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -388,3 +390,17 @@ def test_run_command_looks_up_parse_and_decide_at_call_time(capsys, monkeypatch)
     monkeypatch.setattr(finitype.cli, "decide_matrix", fake_decide)
     code, report = run_json(capsys, "decide", path("markov.mat"))
     assert code == 0 and report["certificate"]["minors"] == [7, 7]
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    root = Path(__file__).parent.parent
+    src = str(Path(finitype.__file__).resolve().parent.parent)
+    argv = ["decide", "tests/data/a2.mat", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finitype", *argv], cwd=root, capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    monkeypatch.chdir(root)
+    code = run_command(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert code == 0 and proc.stdout == capsys.readouterr().out

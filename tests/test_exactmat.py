@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitype import (
     DiagonalRational,
@@ -8,6 +9,7 @@ from finitype import (
     SkewForm,
     SquareIntMatrix,
     compute_skew_symmetrizer,
+    decide_matrix,
     determinant,
     first_nonpositive_minor,
     is_positive,
@@ -15,7 +17,16 @@ from finitype import (
     leading_principal_minors,
 )
 
-from helpers import cofactor_det, cofactor_leading_minors, fraction_gauss_det, random_skew_rows
+from helpers import (
+    a_path,
+    cofactor_det,
+    cofactor_leading_minors,
+    d_fork,
+    fraction_gauss_det,
+    mutation_walk,
+    random_skew_rows,
+    relabel,
+)
 
 
 M = SquareIntMatrix.from_rows
@@ -231,6 +242,91 @@ def test_determinant_zero_column_below_pivot():
     for i in range(19, 40):
         rows[i][:20] = rows[18][:20]
     assert determinant(M(rows)) == 0 == fraction_gauss_det(rows)
+
+
+@st.composite
+def small_square_rows(draw):
+    """n <= 9, entries in [-3, 3]: dense, sparse, or sparse with a symmetric pattern."""
+    n = draw(st.integers(0, 9))
+    pattern = draw(st.sampled_from(("dense", "sparse", "symmetric pattern")))
+    entry = st.integers(-3, 3) if pattern == "dense" else st.sampled_from(
+        (0, 0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if pattern == "symmetric pattern":
+        for i in range(n):
+            for j in range(i):
+                if (rows[i][j] == 0) != (rows[j][i] == 0):
+                    rows[i][j] = rows[j][i]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_square_rows())
+def test_elimination_matches_cofactor_expansion(rows):
+    mat = M(rows)
+    minors = cofactor_leading_minors(rows)
+    assert leading_principal_minors(mat) == minors
+    assert determinant(mat) == cofactor_det(rows)
+    assert first_nonpositive_minor(mat) == next(
+        ((k + 1, m) for k, m in enumerate(minors) if m <= 0), None
+    )
+
+
+def test_stale_row_used_as_pivot_row():
+    # row 4 is zero in columns 0..3, so steps 0..3 (pivots 2, 6, 10, 14) skip
+    # it and step 4 must first scale it by 14; row 5 is updated at step 0,
+    # skipped by steps 1..3, then updated again at step 4
+    rows = [
+        [2, 0, 0, 0, 1, 0, 1],
+        [0, 3, 1, 0, 0, 0, 0],
+        [0, 1, 2, 1, 0, 0, 0],
+        [0, 0, 1, 2, 0, 1, 0],
+        [0, 0, 0, 0, 2, 1, -1],
+        [1, 0, 0, 0, 1, 2, 0],
+        [0, 0, 0, 1, 0, 1, 3],
+    ]
+    minors = cofactor_leading_minors(rows)
+    assert minors == [2, 6, 10, 14, 28, 49, 149]
+    assert leading_principal_minors(M(rows)) == minors
+    assert determinant(M(rows)) == 149
+    assert first_nonpositive_minor(M(rows)) is None
+
+
+def test_stale_row_swapped_in_on_zero_pivot():
+    # row 3 is zero in columns 0..3: the 4th minor is 0 and row 4, skipped
+    # by steps 0..2 (pivots 2, 6, 10), is swapped in and scaled by -10; the
+    # old row 3 moves down and is the next pivot row
+    rows = [
+        [2, 0, 0, 0, 0, 1],
+        [0, 3, 1, 0, 1, 0],
+        [0, 1, 2, 0, 0, 1],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 2, 1, 1],
+        [1, 0, 0, 1, 0, 2],
+    ]
+    minors = cofactor_leading_minors(rows)
+    assert minors[:4] == [2, 6, 10, 0]
+    assert leading_principal_minors(M(rows)) == minors
+    assert determinant(M(rows)) == cofactor_det(rows) == -20
+    assert first_nonpositive_minor(M(rows)) == (4, 0)
+
+
+@pytest.mark.parametrize("kind", ["relabeled path", "mutated D walk"])
+def test_companion_minors_at_n_200(kind):
+    # the companion of a relabeled path fills in under elimination (84-bit
+    # minors); a mutation walk adds 3-cycles
+    rng = random.Random(2024)
+    n = 200
+    if kind == "relabeled path":
+        matrix = relabel(a_path(n, rng.getrandbits(n - 1)), rng)
+    else:
+        matrix = mutation_walk(d_fork(n), 2 * n, rng)
+    decision = decide_matrix(matrix)
+    assert decision.finite
+    rows = decision.certificate.companion.C.entries
+    minors = decision.certificate.minors
+    for k in [1, 2, 3, 4, 5, *range(25, n, 25), n]:
+        assert minors[k - 1] == fraction_gauss_det([row[:k] for row in rows[:k]])
 
 
 def test_is_positive_sign_flip_invariance():
