@@ -6,8 +6,9 @@ handler looks ``parse_matrix`` and ``decide_matrix`` up as names of this
 module at call time, so a caller may substitute either for one run.
 
 Matrix documents: first non-comment line is n, followed by n rows of n
-space-separated integers; ``#`` starts a comment, blank lines are
-ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
+integers separated by spaces or tabs; a line ends at a line feed,
+optionally preceded by a carriage return; ``#`` starts a comment, blank
+lines are ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
 ``sys.get_int_max_str_digits()`` digits long.  All vertices and indices
 are 1-based on the way in and out, 0-based internally.
 """
@@ -56,6 +57,7 @@ EXIT_ERROR = 2
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+_ROW_CHARS = str.maketrans("", "", "0123456789- \t")  # deletes every character a row may hold
 
 
 class MatrixParseError(ValueError):
@@ -69,8 +71,8 @@ class InputError(ValueError):
 def parse_matrix(text: str) -> SquareIntMatrix:
     """Parse the matrix document format; raises MatrixParseError."""
     lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
+    for raw in text.split("\n"):
+        stripped = raw.removesuffix("\r").split("#", 1)[0].strip(" \t")
         if stripped:
             lines.append(stripped)
     if not lines:
@@ -89,12 +91,13 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         raise MatrixParseError(f"expected {n} rows after the dimension, found {len(lines) - 1}")
     rows = []
     for idx, line in enumerate(lines[1:], start=1):
+        # int() alone also takes a '+' sign, '_' separators and non-ASCII digits,
+        # and str.split() also splits at whitespace other than spaces and tabs
+        if line.translate(_ROW_CHARS):
+            raise MatrixParseError(f"row {idx} contains a non-integer entry")
         parts = line.split()
         if len(parts) != n:
             raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
-        # int() alone also takes a '+' sign, '_' separators and non-ASCII digits
-        if "+" in line or "_" in line or not line.isascii():
-            raise MatrixParseError(f"row {idx} contains a non-integer entry")
         try:
             rows.append(tuple(map(int, parts)))
         except ValueError:
@@ -120,9 +123,6 @@ def decide(document: str) -> Decision:
 
 # ---------------------------------------------------------------------------
 # report helpers (everything user-facing is 1-based)
-
-def _matrix_rows(matrix: SquareIntMatrix) -> list[list[int]]:
-    return [list(row) for row in matrix.entries]
 
 def _cycle_1based(cycle: ChordlessCycle) -> list[int]:
     return [v + 1 for v in cycle.vertices]
@@ -150,7 +150,7 @@ def _reason_json(reason: Reason) -> dict:
         "kind": reason.kind,
         "minor_index": reason.minor_index,
         "minor": reason.minor,
-        "companion": _matrix_rows(reason.companion.C),
+        "companion": reason.companion.C.entries,
     }
 
 def _reason_text(reason: Reason) -> str:
@@ -168,8 +168,8 @@ def _certificate_json(cert: Certificate) -> dict:
     return {
         "cycles": [_cycle_1based(c) for c in cert.inventory.cycles],
         "single_edges": _edges_1based(cert.inventory.single_edges),
-        "companion": _matrix_rows(cert.companion.C),
-        "minors": list(cert.minors),
+        "companion": cert.companion.C.entries,
+        "minors": cert.minors,
     }
 
 def _class_report_json(report: MutationClassReport) -> dict:
@@ -265,13 +265,13 @@ def _cmd_companion(args) -> tuple[int, dict, list[str]]:
     ]
     payload = {
         "cyclically_oriented": True,
-        "companion": _matrix_rows(c),
+        "companion": c.entries,
         "signs": signs,
         "positive": decision.finite,
     }
     lines = [format_matrix(c).rstrip("\n")]
     if decision.finite:
-        payload["minors"] = list(result.minors)
+        payload["minors"] = result.minors
         lines.append("# positive: yes")
         lines.append("# minors: " + " ".join(str(m) for m in result.minors))
         return EXIT_FINITE, payload, lines
@@ -287,7 +287,7 @@ def _cmd_mutate(args) -> tuple[int, dict, list[str]]:
     if not 1 <= args.k <= form.n:
         raise InputError(f"mutation index {args.k} out of range 1..{form.n}")
     mutated = mutate(form, args.k - 1)
-    payload = {"k": args.k, "matrix": _matrix_rows(mutated.B)}
+    payload = {"k": args.k, "matrix": mutated.B.entries}
     return EXIT_FINITE, payload, [format_matrix(mutated.B).rstrip("\n")]
 
 

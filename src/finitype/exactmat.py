@@ -1,7 +1,7 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
 Everything here is exact: matrices hold arbitrary-precision Python ints,
-symmetrizers are built with ``fractions.Fraction`` and canonicalized to
+symmetrizers are propagated as reduced integer ratios and canonicalized to
 coprime positive integers, and ``D*B`` is checked in integers.  No floating
 point anywhere; the positivity test needs the exact sign of every leading
 principal minor.
@@ -31,12 +31,10 @@ straight from its step-s values by (p_k * a_ij - a_ik * a_kj) / p_{s-1}.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class NotSkewSymmetrizableError(ValueError):
@@ -70,8 +68,9 @@ class SquareIntMatrix:
 class DiagonalRational:
     """Positive diagonal symmetrizer, canonicalized.
 
-    Entries are kept as positive integers with overall gcd 1; any valid
-    symmetrizer over the rationals scales to this form.
+    Entries are positive integers with overall gcd 1; any valid symmetrizer
+    over the rationals scales to this form, and construction rejects any
+    other.
     """
 
     d: tuple[int, ...]
@@ -85,18 +84,6 @@ class DiagonalRational:
     @property
     def n(self) -> int:
         return len(self.d)
-
-    @classmethod
-    def from_fractions(cls, values: Sequence[Fraction]) -> "DiagonalRational":
-        """Scale positive rationals to coprime positive integers."""
-        if not values:
-            return cls(())
-        if any(v <= 0 for v in values):
-            raise ValueError("symmetrizer entries must be positive")
-        scale = lcm(*(v.denominator for v in values))
-        ints = [int(v * scale) for v in values]
-        g = gcd(*ints)
-        return cls(tuple(v // g for v in ints))
 
 
 @dataclass(frozen=True)
@@ -160,25 +147,33 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
     One pass collects the nonzero pairs and rejects sign violations.  One
     free scale exists per connected component of that pattern; it is fixed
     by setting d = 1 on the smallest vertex of the component and
-    propagating d_j = d_i * (-b_ij / b_ji) breadth-first.  The SkewForm
-    then checks D*B at every nonzero entry, which catches inconsistent
-    cycles.  Raises NotSkewSymmetrizableError when no D exists.
+    propagating d_j = d_i * |b_ij| / |b_ji| breadth-first, each d_j kept as
+    a reduced pair (num, den) of ints.  Scaling by the lcm of the
+    denominators and dividing by the gcd of the results gives coprime
+    positive integers.  The SkewForm then checks D*B at every nonzero
+    entry, which catches inconsistent cycles.  Raises
+    NotSkewSymmetrizableError when no D exists.
     """
     adjacency = _neighbors(B)
     b = B.entries
-    d: list[Optional[Fraction]] = [None] * B.n
+    num = [0] * B.n  # 0 marks a vertex not reached yet
+    den = [1] * B.n
     for root in range(B.n):
-        if d[root] is not None:
+        if num[root]:
             continue
-        d[root] = Fraction(1)
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
+        num[root] = 1
+        queue = [root]
+        for i in queue:
             for j, v in adjacency[i]:
-                if d[j] is None:
-                    d[j] = d[i] * Fraction(-v, b[j][i])
+                if not num[j]:
+                    p, q = num[i] * abs(v), den[i] * abs(b[j][i])
+                    g = gcd(p, q)
+                    num[j], den[j] = p // g, q // g
                     queue.append(j)
-    return SkewForm(B, DiagonalRational.from_fractions(d))
+    scale = lcm(*den)
+    d = [p * (scale // q) for p, q in zip(num, den)]
+    g = gcd(*d)
+    return SkewForm(B, DiagonalRational(tuple(v // g for v in d)))
 
 
 def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:

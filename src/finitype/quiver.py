@@ -84,6 +84,8 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
     Iterative depth-first search with lowpoints (Hopcroft-Tarjan); roots
     and neighbor lists are scanned in ascending order and the result is
     sorted by smallest contained vertex, so the output is deterministic.
+    Each frame records the edge-stack height at which its tree edge was
+    pushed, so a component is cut off the stack without searching it.
     """
     visited: set[int] = set()
     raw: list[list[tuple[int, int]]] = []
@@ -94,9 +96,9 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
         low = {root: 0}
         visited.add(root)
         edge_stack: list[tuple[int, int]] = []
-        stack = [(root, root, iter(g.neighbors[root]))]
+        stack = [(root, root, iter(g.neighbors[root]), 0)]
         while stack:
-            grandparent, parent, children = stack[-1]
+            grandparent, parent, children, cut = stack[-1]
             child = next(children, None)
             if child is not None:
                 if child == grandparent:
@@ -108,18 +110,16 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
                 else:
                     low[child] = discovery[child] = len(discovery)
                     visited.add(child)
+                    stack.append((parent, child, iter(g.neighbors[child]), len(edge_stack)))
                     edge_stack.append((parent, child))
-                    stack.append((parent, child, iter(g.neighbors[child])))
                 continue
             stack.pop()
             if len(stack) > 1:
                 if low[parent] >= discovery[grandparent]:
-                    cut = edge_stack.index((grandparent, parent))
                     raw.append(edge_stack[cut:])
                     del edge_stack[cut:]
                 low[grandparent] = min(low[grandparent], low[parent])
             elif stack:
-                cut = edge_stack.index((grandparent, parent))
                 raw.append(edge_stack[cut:])
                 del edge_stack[cut:]
     components = []

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 from finitype import SquareIntMatrix
 
@@ -74,6 +75,36 @@ def independent_leading_minor(rows, k: int) -> int:
     value = fraction_gauss_det(block)
     assert value.denominator == 1
     return value.numerator
+
+
+# ---------------------------------------------------------------------------
+# independent symmetrizer
+
+def fraction_symmetrizer(rows) -> tuple[int, ...]:
+    """Canonical symmetrizer of a skew-symmetrizable matrix, over Fraction.
+
+    Depth-first from the smallest vertex of each connected component of
+    the nonzero pattern, which gets 1; a neighbor j of i gets
+    d_i * -b_ij / b_ji.  The whole vector is then scaled to coprime
+    positive integers.
+    """
+    n = len(rows)
+    d: dict[int, Fraction] = {}
+    for root in range(n):
+        if root in d:
+            continue
+        d[root] = Fraction(1)
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if rows[i][j] and j not in d:
+                    d[j] = d[i] * Fraction(-rows[i][j], rows[j][i])
+                    todo.append(j)
+    scale = lcm(*(v.denominator for v in d.values()))
+    ints = [int(d[i] * scale) for i in range(n)]
+    common = gcd(*ints)
+    return tuple(v // common for v in ints)
 
 
 # ---------------------------------------------------------------------------

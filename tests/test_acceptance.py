@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from finitype import (
     Certificate,
@@ -278,9 +278,10 @@ def test_criterion_6_involutivity_and_symmetrizer():
         for _ in range(10_000):
             n = rng.randint(1, 6)
             rows, d = random_skew_rows(rng, n)
+            g = gcd(*d)
             form = SkewForm(
                 SquareIntMatrix.from_rows(rows),
-                DiagonalRational.from_fractions([Fraction(v) for v in d]),
+                DiagonalRational(tuple(v // g for v in d)),
             )
             k = rng.randrange(n)
             once = mutate(form, k)

@@ -57,9 +57,10 @@ def test_parse_errors():
             parse_matrix(text)
 
 
-@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11"])
+@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11", "1-2", "-", "--1"])
 def test_parse_rejects_non_ascii_grammar_entry(entry):
-    # underscore separators, an explicit plus, Arabic-Indic and fullwidth digits
+    # underscore separators, an explicit plus, Arabic-Indic and fullwidth
+    # digits, and a minus sign that does not lead the digits
     with pytest.raises(MatrixParseError, match="row 1 contains a non-integer entry"):
         parse_matrix(f"2\n0 {entry}\n-1 0\n")
 
@@ -68,6 +69,16 @@ def test_parse_rejects_non_ascii_grammar_entry(entry):
 def test_parse_rejects_non_ascii_grammar_dimension(dimension):
     with pytest.raises(MatrixParseError, match="first line must be the dimension"):
         parse_matrix(f"{dimension}\n0 1\n-1 0\n")
+
+
+@pytest.mark.parametrize(
+    "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+)
+def test_parse_only_line_feed_breaks_lines_and_only_space_tab_separate(char):
+    # inside a comment any character is fine; outside it is not a separator
+    assert parse_matrix(f"# a{char}b\n2\n0 1 # {char}\n-1\t0\r\n").entries == ((0, 1), (-1, 0))
+    with pytest.raises(MatrixParseError, match="row 1 contains a non-integer entry"):
+        parse_matrix(f"2\n0{char}1\n-1 0\n")
 
 
 def test_parse_entry_over_digit_limit():
@@ -310,6 +321,33 @@ def test_json_compare_finite(capsys):
     assert report["verdict"] == "FiniteType"
     assert report["mutation_class"]["status"] == "FiniteClass"
     assert report["companion_search"]["found"] is True
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("# type A1 \u2028 note\n1\n0\n", None),  # line separator inside a comment
+        ("1\n0 # \u2029 tail\n", None),  # paragraph separator inside a comment
+        ("2\n0\x0c1\n-1 0\n", "row 1 contains a non-integer entry"),  # form feed
+        ("2\n0\x1f1\n-1\t0\n", "row 1 contains a non-integer entry"),  # unit separator
+    ],
+)
+def test_document_line_breaks_and_separators(capsys, tmp_path, text, error):
+    doc = tmp_path / "doc.mat"
+    doc.write_bytes(text.encode("utf-8"))
+    code = run_command(["decide", str(doc)])
+    captured = capsys.readouterr()
+    if error is None:
+        assert (code, captured.out, captured.err) == (
+            0, "FiniteType\nchordless cycles: 0\nsingle edges: 0\ncompanion minors: 2\n", ""
+        )
+    else:
+        assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+    code, report = run_json(capsys, "decide", str(doc))
+    if error is None:
+        assert (code, report["verdict"]) == (0, "FiniteType")
+    else:
+        assert (code, report["error"]) == (2, {"kind": "parse_error", "detail": error})
 
 
 @pytest.mark.parametrize("command", ["decide", "cycles", "companion", "compare"])

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from helpers import (
     cofactor_leading_minors,
     d_fork,
     fraction_gauss_det,
+    fraction_symmetrizer,
     mutation_walk,
     random_skew_rows,
     relabel,
@@ -98,6 +100,37 @@ def test_symmetrizer_disconnected_components():
 def test_symmetrizer_empty_matrix():
     form = compute_skew_symmetrizer(M([]))
     assert form.n == 0 and form.D.d == ()
+
+
+@st.composite
+def skew_symmetrizable_rows(draw):
+    """Random skew-symmetrizable B under a random relabeling.
+
+    Symmetrizer weights d_i go up to 10^6, some sharing large factors.  An
+    edge gets b_ij = x*d_j/g and b_ji = -x*d_i/g with g = gcd(d_i, d_j),
+    so d_i*b_ij = -d_j*b_ji.  Edges join only vertices of the same one of
+    four groups, so several components and isolated vertices occur.
+    """
+    n = draw(st.integers(0, 12))
+    weight = st.one_of(st.integers(1, 10**6), st.sampled_from([2**19, 3**12, 510510, 720720]))
+    d = draw(st.lists(weight, min_size=n, max_size=n))
+    group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if group[i] == group[j] and draw(st.booleans()):
+                x = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+                g = gcd(d[i], d[j])
+                rows[perm[i]][perm[j]] = x * d[j] // g
+                rows[perm[j]][perm[i]] = -x * d[i] // g
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_symmetrizable_rows())
+def test_symmetrizer_matches_fraction_reference(rows):
+    assert compute_skew_symmetrizer(M(rows)).D.d == fraction_symmetrizer(rows)
 
 
 def test_symmetrizer_scale_canonical():

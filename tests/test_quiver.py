@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from finitype import (
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
+    Quiver,
     StructuralFailure,
     SquareIntMatrix,
     build_quiver,
@@ -78,6 +80,20 @@ def test_two_connected_ignores_isolated_vertices():
     mat = from_arcs(4, {(1, 3): 1})
     comps = two_connected_components(quiver_of(mat))
     assert len(comps) == 1 and comps[0].vertices == (1, 3)
+
+
+def test_two_connected_long_path_is_linear():
+    # every edge of a path is its own component; cutting each one off the
+    # edge stack must not search the stack
+    n = 20_000
+    arcs = {(i, i + 1): 1 for i in range(n - 1)}
+    neighbors = tuple(tuple(v for v in (i - 1, i + 1) if 0 <= v < n) for i in range(n))
+    start = time.perf_counter()
+    comps = two_connected_components(Quiver(n, arcs, neighbors))
+    elapsed = time.perf_counter() - start
+    assert [c.edges for c in comps] == [((i, i + 1),) for i in range(n - 1)]
+    assert all(c.kind is ComponentKind.SINGLE_EDGE for c in comps)
+    assert elapsed < 2.0
 
 
 def test_cod_oriented_path():
