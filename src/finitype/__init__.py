@@ -32,7 +32,6 @@ from .exactmat import (
     determinant,
     first_nonpositive_minor,
     is_positive,
-    is_skew_symmetric_by_signs,
     leading_principal_minors,
 )
 from .oracle import (
@@ -96,7 +95,6 @@ __all__ = [
     "first_nonpositive_minor",
     "format_matrix",
     "is_positive",
-    "is_skew_symmetric_by_signs",
     "leading_principal_minors",
     "mutate",
     "parse_matrix",

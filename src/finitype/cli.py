@@ -1,26 +1,35 @@
 """Command-line front end: documents in, reports out.
 
 This module only parses documents, runs the library's stages and renders
-their results; the decision itself lives in ``finitype.decision``.  Every
-handler looks ``parse_matrix`` and ``decide_matrix`` up as names of this
+their results; the decision itself lives in ``finitype.decision``.
+``parse_matrix`` and ``decide_matrix`` are looked up as names of this
 module at call time, so a caller may substitute either for one run.
 
 Matrix documents: first non-comment line is n, followed by n rows of n
 integers separated by spaces or tabs; a line ends at a line feed,
 optionally preceded by a carriage return; ``#`` starts a comment, blank
 lines are ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
-``sys.get_int_max_str_digits()`` digits long.  All vertices and indices
-are 1-based on the way in and out, 0-based internally.
+``sys.get_int_max_str_digits()`` digits long; only the document is read
+under that limit, and every integer of a report is printed in full.  All
+vertices and indices are 1-based on the way in and out, 0-based internally.
+
+A ``--json`` report is exactly ``json.dumps(report, indent=2)``.  Its
+matrix-valued fields are rendered from their nonzero entries and spliced in,
+since the pure-Python encoder that ``indent`` selects would walk all n²
+entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from itertools import compress
+from contextlib import contextmanager
+from itertools import compress, repeat
+from operator import ne
 from typing import Optional, Sequence
 
 from .decision import Certificate, CompanionNotPositive, Decision, Reason, decide_matrix
@@ -98,14 +107,18 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         parts = line.split()
         if len(parts) != n:
             raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
+        # int() only on the tokens other than a plain "0"; "00" and "-0" still go through it
+        row = [0] * n
         try:
-            rows.append(tuple(map(int, parts)))
+            for j in compress(range(n), map(ne, parts, repeat("0"))):
+                row[j] = int(parts[j])
         except ValueError:
             if all(map(_INTEGER.fullmatch, parts)):  # only the digit limit is left
                 raise MatrixParseError(
                     f"row {idx} has an entry longer than {sys.get_int_max_str_digits()} digits"
                 ) from None
             raise MatrixParseError(f"row {idx} contains a non-integer entry") from None
+        rows.append(tuple(row))
     return SquareIntMatrix(n, tuple(rows))
 
 
@@ -150,7 +163,7 @@ def _reason_json(reason: Reason) -> dict:
         "kind": reason.kind,
         "minor_index": reason.minor_index,
         "minor": reason.minor,
-        "companion": reason.companion.C.entries,
+        "companion": reason.companion.C,
     }
 
 def _reason_text(reason: Reason) -> str:
@@ -168,7 +181,7 @@ def _certificate_json(cert: Certificate) -> dict:
     return {
         "cycles": [_cycle_1based(c) for c in cert.inventory.cycles],
         "single_edges": _edges_1based(cert.inventory.single_edges),
-        "companion": cert.companion.C.entries,
+        "companion": cert.companion.C,
         "minors": cert.minors,
     }
 
@@ -198,7 +211,9 @@ def _class_report_text(report: MutationClassReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, json payload, text lines)
+# subcommand handlers: each takes the parsed document and returns
+# (exit_code, json payload, text lines); a payload holds matrices as
+# SquareIntMatrix, which only ``_report_json`` knows how to render
 
 def _load(path: str) -> SquareIntMatrix:
     with open(path, "rb") as fh:
@@ -212,8 +227,8 @@ def _load(path: str) -> SquareIntMatrix:
     return parse_matrix(text)
 
 
-def _cmd_decide(args) -> tuple[int, dict, list[str]]:
-    decision = decide_matrix(_load(args.file))
+def _cmd_decide(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+    decision = decide_matrix(matrix)
     payload: dict = {"verdict": decision.verdict, "reason": None, "certificate": None}
     if decision.finite:
         payload["certificate"] = _certificate_json(decision.certificate)
@@ -234,8 +249,8 @@ def _not_oriented(witness: Reason) -> tuple[int, dict, list[str]]:
     return EXIT_NOT_FINITE, payload, lines
 
 
-def _cmd_cycles(args) -> tuple[int, dict, list[str]]:
-    form = compute_skew_symmetrizer(_load(args.file))
+def _cmd_cycles(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+    form = compute_skew_symmetrizer(matrix)
     g = build_quiver(form)
     try:
         inventory = chordless_cycles_cod(g)
@@ -252,8 +267,8 @@ def _cmd_cycles(args) -> tuple[int, dict, list[str]]:
     return EXIT_FINITE, payload, lines
 
 
-def _cmd_companion(args) -> tuple[int, dict, list[str]]:
-    decision = decide_matrix(_load(args.file))
+def _cmd_companion(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+    decision = decide_matrix(matrix)
     result = decision.certificate if decision.finite else decision.reason
     if not isinstance(result, (Certificate, CompanionNotPositive)):
         return _not_oriented(result)
@@ -265,7 +280,7 @@ def _cmd_companion(args) -> tuple[int, dict, list[str]]:
     ]
     payload = {
         "cyclically_oriented": True,
-        "companion": c.entries,
+        "companion": c,
         "signs": signs,
         "positive": decision.finite,
     }
@@ -282,12 +297,12 @@ def _cmd_companion(args) -> tuple[int, dict, list[str]]:
     return EXIT_NOT_FINITE, payload, lines
 
 
-def _cmd_mutate(args) -> tuple[int, dict, list[str]]:
-    form = compute_skew_symmetrizer(_load(args.file))
+def _cmd_mutate(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+    form = compute_skew_symmetrizer(matrix)
     if not 1 <= args.k <= form.n:
         raise InputError(f"mutation index {args.k} out of range 1..{form.n}")
     mutated = mutate(form, args.k - 1)
-    payload = {"k": args.k, "matrix": mutated.B.entries}
+    payload = {"k": args.k, "matrix": mutated.B}
     return EXIT_FINITE, payload, [format_matrix(mutated.B).rstrip("\n")]
 
 
@@ -307,8 +322,8 @@ def _oracle_limit(args) -> int:
     return limit
 
 
-def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
-    form = compute_skew_symmetrizer(_load(args.file))
+def _cmd_oracle(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+    form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
     payload = _class_report_json(report)
     lines = [_class_report_text(report)]
@@ -319,8 +334,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     return EXIT_ERROR, payload, lines
 
 
-def _cmd_compare(args) -> tuple[int, dict, list[str]]:
-    matrix = _load(args.file)
+def _cmd_compare(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
     decision = decide_matrix(matrix)
     form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
@@ -399,6 +413,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# json.dumps renders a NaN as a bare NaN token; no other value of a report is a
+# float, and inside a string such text is never followed by a line break
+_MATRIX_SLOT = math.nan
+_SPLICE = re.compile(r": NaN(?=,?\n)")
+
+
+def _matrix_json(rows: tuple[tuple[int, ...], ...], depth: int) -> str:
+    """``rows`` exactly as ``json.dumps(..., indent=2)`` renders them at indent level ``depth``.
+
+    Each row is built from its nonzero entries; every run of zeros is a
+    slice of one string of ``",\\n<indent>0"`` units.
+    """
+    if not rows:
+        return "[]"
+    row_indent, entry_indent = "  " * (depth + 1), "  " * (depth + 2)
+    sep = ",\n" + entry_indent
+    unit = len(sep) + 1
+    zeros = (sep + "0") * len(rows[0])
+    rendered = []
+    for row in rows:
+        pieces = []
+        start = 0  # first column not rendered yet
+        for j in compress(range(len(row)), row):
+            pieces.append(zeros[: (j - start) * unit])
+            pieces.append(sep + str(row[j]))
+            start = j + 1
+        pieces.append(zeros[: (len(row) - start) * unit])
+        # the entries, each after a separator: the first one's "," becomes the "["
+        rendered.append("[" + "".join(pieces)[1:] + "\n" + row_indent + "]")
+    return "[\n" + row_indent + (",\n" + row_indent).join(rendered) + "\n" + "  " * depth + "]"
+
+
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, each SquareIntMatrix in it rendered by ``_matrix_json``.
+
+    The encoder renders every other field and leaves a slot per matrix, in
+    order; a slot's indent level is that of its key's line.  A matrix may
+    only be a dict value, never a list item.
+    """
+    matrices = []
+
+    def slot(matrix: SquareIntMatrix) -> float:
+        matrices.append(matrix.entries)
+        return _MATRIX_SLOT
+
+    head, *tails = _SPLICE.split(json.dumps(report, indent=2, default=slot))
+    pieces = [head]
+    for rows, tail in zip(matrices, tails):
+        key_line = pieces[-1][pieces[-1].rfind("\n") + 1:]
+        depth = (len(key_line) - len(key_line.lstrip(" "))) // 2
+        pieces += [": ", _matrix_json(rows, depth), tail]
+    return "".join(pieces)
+
+
+@contextmanager
+def _ints_in_full():
+    """Lift Python's int-to-str digit limit: the program prints its own integers whole."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(as_json: bool, command: str, path: Optional[str], code: int, payload: dict,
           lines: list[str]) -> None:
     if as_json:
@@ -409,7 +488,7 @@ def _emit(as_json: bool, command: str, path: Optional[str], code: int, payload: 
             "exit_code": code,
         }
         report.update(payload)
-        print(json.dumps(report, indent=2))
+        print(_report_json(report))
     else:
         for line in lines:
             print(line)
@@ -424,7 +503,9 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
         return EXIT_ERROR if code != 0 else 0
     try:
-        code, payload, lines = args.handler(args)
+        matrix = _load(args.file)  # the one input read under the digit limit
+        with _ints_in_full():
+            code, payload, lines = args.handler(args, matrix)
     except (MatrixParseError, NotSkewSymmetrizableError, InputError, OSError) as err:
         if isinstance(err, NotSkewSymmetrizableError):
             kind = "not_skew_symmetrizable"
@@ -440,7 +521,8 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(args.json, args.command, args.file, code, payload, lines)
+    with _ints_in_full():
+        _emit(args.json, args.command, args.file, code, payload, lines)
     return code
 
 

@@ -27,9 +27,6 @@ class SignAssignment:
     def sign(self, u: int, v: int) -> int:
         return self.signs.get(edge_key(u, v), 0)
 
-    def is_total_on(self, g: Quiver) -> bool:
-        return all(self.sign(i, j) != 0 for i, j in g.arcs)
-
 
 def assign_signs(g: Quiver, inventory: CycleInventory) -> SignAssignment:
     """Choose edge signs so the sign condition holds on every chordless cycle.

@@ -59,10 +59,6 @@ class SquareIntMatrix:
         grid = tuple(tuple(int(v) for v in row) for row in rows)
         return cls(len(grid), grid)
 
-    @classmethod
-    def identity(cls, n: int) -> "SquareIntMatrix":
-        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class DiagonalRational:
@@ -130,15 +126,6 @@ def _neighbors(B: SquareIntMatrix) -> list[list[tuple[int, int]]]:
                 raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
         out.append(pairs)
     return out
-
-
-def is_skew_symmetric_by_signs(B: SquareIntMatrix) -> bool:
-    """Zero diagonal, and each off-diagonal pair both zero or opposite in sign."""
-    try:
-        _neighbors(B)
-    except NotSkewSymmetrizableError:
-        return False
-    return True
 
 
 def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:

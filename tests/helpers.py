@@ -155,7 +155,28 @@ def walk_is_cyclically_oriented(arcs: set[tuple[int, int]], walk) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# predicates the library does not need
+
+def is_skew_symmetric_by_signs(matrix: SquareIntMatrix) -> bool:
+    """Zero diagonal, and each off-diagonal pair both zero or opposite in sign."""
+    b = matrix.entries
+    return all(
+        b[i][j] == b[j][i] == 0 or b[i][j] * b[j][i] < 0
+        for i in range(matrix.n) for j in range(i, matrix.n)
+    )
+
+
+def signs_total_on(signs, g) -> bool:
+    """Every arc of the quiver ``g`` has a sign (+1 or -1) in ``signs``."""
+    return all(signs.sign(i, j) != 0 for i, j in g.arcs)
+
+
+# ---------------------------------------------------------------------------
 # matrix builders (0-based; arc (i, j) means b_ij > 0)
+
+def identity(n: int) -> SquareIntMatrix:
+    return SquareIntMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
 
 def from_arcs(n: int, arcs: dict) -> SquareIntMatrix:
     """Arcs map (i, j) to a weight w (b_ij = w = -b_ji) or a pair (a, c)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import finitype.cli
 from finitype import (
@@ -29,6 +32,10 @@ from helpers import from_arcs, random_cyclically_oriented_arcs
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
+# one validator for the module: jsonschema.validate re-checks the schema on every call
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCHEMA)
+_VALIDATOR_CLASS.check_schema(SCHEMA)
+VALIDATOR = _VALIDATOR_CLASS(SCHEMA)
 
 
 def path(name: str) -> str:
@@ -37,8 +44,10 @@ def path(name: str) -> str:
 
 def run_json(capsys, *argv) -> tuple[int, dict]:
     code = run_command([*argv, "--json"])
-    report = json.loads(capsys.readouterr().out)
-    jsonschema.validate(report, SCHEMA)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    VALIDATOR.validate(report)
     assert report["exit_code"] == code
     return code, report
 
@@ -57,7 +66,9 @@ def test_parse_errors():
             parse_matrix(text)
 
 
-@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11", "1-2", "-", "--1"])
+@pytest.mark.parametrize(
+    "entry", ["1_0", "+1", "\u0661", "\uff11", "1-2", "-", "--1", "0-", "--0"]
+)
 def test_parse_rejects_non_ascii_grammar_entry(entry):
     # underscore separators, an explicit plus, Arabic-Indic and fullwidth
     # digits, and a minus sign that does not lead the digits
@@ -79,6 +90,11 @@ def test_parse_only_line_feed_breaks_lines_and_only_space_tab_separate(char):
     assert parse_matrix(f"# a{char}b\n2\n0 1 # {char}\n-1\t0\r\n").entries == ((0, 1), (-1, 0))
     with pytest.raises(MatrixParseError, match="row 1 contains a non-integer entry"):
         parse_matrix(f"2\n0{char}1\n-1 0\n")
+
+
+@pytest.mark.parametrize("zero", ["0", "00", "-0", "-00"])
+def test_parse_zero_spellings(zero):
+    assert parse_matrix(f"2\n{zero} 1\n-1 {zero}\n").entries == ((0, 1), (-1, 0))
 
 
 def test_parse_entry_over_digit_limit():
@@ -442,3 +458,121 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     code = run_command(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert code == 0 and proc.stdout == capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# reports print every integer in full and render exactly as json.dumps
+
+def test_report_prints_integers_longer_than_the_digit_limit(capsys, tmp_path):
+    # the third leading minor of this valid document, 6 - 2 * 10**8000, has 8001 digits
+    big = "1" + "0" * 4000
+    doc = tmp_path / "big.mat"
+    doc.write_text(f"3\n0 1 0\n-1 0 {big}\n0 -{big} 0\n")
+    minor = "-1" + "9" * 7999 + "4"
+    limit = sys.get_int_max_str_digits()
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "finitype", "decide", str(doc)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(Path(finitype.__file__).parent.parent)},
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == f"NotFinite\nreason: companion not positive: leading minor 3 = {minor}\n"
+
+    assert run_command(["decide", str(doc), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert f'\n    "minor": {minor},\n' in out
+    assert sys.get_int_max_str_digits() == limit
+    with finitype.cli._ints_in_full():
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    # mutate -k 2 squares the 2500-digit weight; the other subcommands print the minor
+    wide = "1" + "0" * 2500
+    mut = tmp_path / "mut.mat"
+    mut.write_text(f"3\n0 {wide} 0\n-{wide} 0 {wide}\n0 -{wide} 0\n")
+    runs = [["companion", str(doc)], ["oracle", str(doc)], ["compare", str(doc)],
+            ["mutate", str(mut), "-k", "2"]]
+    for argv in runs:
+        for flag in ([], ["--json"]):
+            assert run_command([*argv, *flag]) in (0, 1)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert sys.get_int_max_str_digits() == limit
+    assert run_command(["mutate", str(mut), "-k", "2"]) == 0
+    assert "1" + "0" * 5000 in capsys.readouterr().out
+
+    # the document itself is still read under the limit
+    doc.write_text(f"2\n0 1\n-1{'0' * limit} 0\n")
+    assert run_command(["decide", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: row 2 has an entry longer than {limit} digits\n"
+
+
+@st.composite
+def oriented_documents(draw) -> str:
+    """A cyclically oriented document with n = 0..12 vertices.
+
+    Unused vertices give all-zero rows, a random placement puts zeros at
+    either end of a row, and a common weight factor makes entries multi-digit.
+    """
+    n = draw(st.integers(0, 12))
+    rows = [[0] * n for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        k, arcs = random_cyclically_oriented_arcs(rng, max_vertices=n, asym_weights=True)
+        place = draw(st.permutations(range(n)))
+        factor = draw(st.sampled_from([1, 1, 2, 10, 123]))
+        for (i, j), w in arcs.items():
+            a, c = w if isinstance(w, tuple) else (w, w)
+            rows[place[i]][place[j]] = a * factor
+            rows[place[j]][place[i]] = -c * factor
+    return format_matrix(SquareIntMatrix.from_rows(rows)) if n else "0\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(oriented_documents())
+@example("0\n")
+@example("1\n0\n")
+@example("3\n0 0 0\n0 0 -12\n0 12 0\n")
+def test_json_report_is_json_dumps(tmp_path_factory, text):
+    doc = tmp_path_factory.mktemp("doc") / "doc.mat"
+    doc.write_text(text)
+    for argv in (["decide"], ["companion"], ["mutate", "-k", "1"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            run_command([argv[0], str(doc), *argv[1:], "--json"])
+        out = out.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def replace_matrices(value):
+    """``value`` with every SquareIntMatrix replaced by its rows, as json.dumps can render it."""
+    if isinstance(value, SquareIntMatrix):
+        return value.entries
+    if isinstance(value, dict):
+        return {k: replace_matrices(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [replace_matrices(v) for v in value]
+    return value
+
+
+@st.composite
+def matrices(draw) -> SquareIntMatrix:
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-10**30, 10**30))
+    return SquareIntMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), matrices(), st.text(alphabet=': NaN,\n"\\\x00x', max_size=12))
+def test_report_json_renders_matrices_as_json_dumps(top, nested, name):
+    # matrices at indent levels 1 to 3, among strings that hold the slot's own text
+    report = {
+        "file": name,
+        "companion": top,
+        "reason": {"kind": name, "companion": nested, "minor": -7},
+        "deep": {"list": [{"matrix": nested}]},
+        "minors": [1, 2],
+    }
+    expected = json.dumps(replace_matrices(report), indent=2)
+    assert finitype.cli._report_json(report) == expected

@@ -32,6 +32,7 @@ from helpers import (
     from_arcs,
     markov,
     random_cyclically_oriented_arcs,
+    signs_total_on,
 )
 
 
@@ -69,7 +70,7 @@ def test_undefined_sign_reads_zero():
     form, g, inv = pipeline(cyclic_triangle())
     signs = assign_signs(g, inv)
     assert signs.sign(0, 9) == 0
-    assert signs.is_total_on(g)
+    assert signs_total_on(signs, g)
 
 
 def test_build_companion_weighted_edge():
@@ -150,7 +151,7 @@ def test_sign_condition_holds_on_every_cycle():
         n, arcs = random_cyclically_oriented_arcs(rng, max_vertices=10)
         form, g, inv = pipeline(from_arcs(n, arcs))
         signs = assign_signs(g, inv)
-        assert signs.is_total_on(g)
+        assert signs_total_on(signs, g)
         companion = build_companion(form, signs)
         assert satisfies_sign_condition(companion, inv.cycles)
 

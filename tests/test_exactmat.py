@@ -14,7 +14,6 @@ from finitype import (
     determinant,
     first_nonpositive_minor,
     is_positive,
-    is_skew_symmetric_by_signs,
     leading_principal_minors,
 )
 
@@ -25,6 +24,8 @@ from helpers import (
     d_fork,
     fraction_gauss_det,
     fraction_symmetrizer,
+    identity,
+    is_skew_symmetric_by_signs,
     mutation_walk,
     random_skew_rows,
     relabel,
@@ -184,7 +185,7 @@ def test_diagonal_rational_canonical_only():
 
 def test_minors_examples():
     assert leading_principal_minors(M([[2, 1], [1, 2]])) == [2, 3]
-    assert leading_principal_minors(SquareIntMatrix.identity(3)) == [1, 1, 1]
+    assert leading_principal_minors(identity(3)) == [1, 1, 1]
     assert leading_principal_minors(M([[2, 2], [2, 2]])) == [2, 0]
 
 
