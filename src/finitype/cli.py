@@ -22,6 +22,7 @@ entries.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -216,7 +217,11 @@ def _class_report_text(report: MutationClassReport) -> str:
 # SquareIntMatrix, which only ``_report_json`` knows how to render
 
 def _load(path: str) -> SquareIntMatrix:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except ValueError as err:  # a NUL in the path, which only a library caller can pass
+        raise OSError(errno.EINVAL, str(err), path) from None
+    with fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

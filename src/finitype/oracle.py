@@ -3,16 +3,36 @@
 These operations exist to cross-validate the main decision on small
 instances.  Mutation-class exploration checks the bounded-entry criterion
 (|b'_ij * b'_ji| <= 3 across the whole class); the exhaustive companion
-search tries all 2^m sign patterns.  Both are exponential in general and
-deliberately simple.
+search tries every sign pattern up to vertex switching.  Both are
+exponential in general and share no code with the decision.
+
+Both searches stay exhaustive; four shortcuts make them cheaper without
+changing any answer:
+
+- Mutation at k changes b_ij only when b_ik and b_kj are both nonzero, and
+  only flips signs in row and column k.  So the result shares every row
+  i != k with b_ik = 0 with its parent and rebuilds only row k and the rows
+  of k's neighbours.
+- For the same reason |b_ij * b_ji| can change only when i and j are both
+  neighbours of k.  Every matrix the class search expands has no product
+  >= 4, so scanning the pairs of k's neighbours in row-major order finds the
+  same first witness as scanning all pairs.
+- Mutation is an involution: mu_k(mu_k(B)) == B exactly.  Mutating a
+  matrix again at the direction that produced it would only return its
+  parent, which the search has already seen, so that step is skipped.
+- Switching the signs at one vertex (C -> S C S with S = diag(+-1)) keeps
+  every leading principal minor, and it can set the sign of any spanning
+  forest's arcs freely.  So the companion search fixes the forest arcs at +1
+  and enumerates only the other arcs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .companion import QuasiCartanCompanion
 from .exactmat import SkewForm, SquareIntMatrix
@@ -27,21 +47,29 @@ class CapExceededError(ValueError):
     """Brute-force companion search refused: too many arcs."""
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _mutate_entries(b: Entries, k: int) -> Entries:
-    n = len(b)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + _sgn(b[i][k]) * max(b[i][k] * b[k][j], 0))
-        rows.append(tuple(row))
+    """Entries of mu_k(B); rows i != k with b_ik == 0 are B's own row tuples.
+
+    Relies on B's nonzero pattern being symmetric (as for any SkewForm), so
+    row k lists exactly the rows that change.
+    """
+    row_k = b[k]
+    rows = list(b)
+    rows[k] = tuple(map(operator.neg, row_k))
+    pos = [(j, v) for j, v in enumerate(row_k) if v > 0]
+    neg = [(j, v) for j, v in enumerate(row_k) if v < 0]
+    for i, _ in pos + neg:
+        row = list(b[i])
+        bik = row[k]
+        row[k] = -bik
+        # b_ij gains sgn(b_ik) * b_ik * b_kj = |b_ik| * b_kj where b_kj has b_ik's sign
+        if bik > 0:
+            for j, v in pos:
+                row[j] += bik * v
+        else:
+            for j, v in neg:
+                row[j] -= bik * v
+        rows[i] = tuple(row)
     return tuple(rows)
 
 
@@ -49,8 +77,9 @@ def mutate(form: SkewForm, k: int) -> SkewForm:
     """Matrix mutation in direction k (0-based).
 
     Entries in row/column k flip sign; elsewhere b_ij gains
-    sgn(b_ik) * max(b_ik * b_kj, 0).  The result shares B's symmetrizer,
-    which the returned SkewForm re-verifies.
+    sgn(b_ik) * max(b_ik * b_kj, 0).  Rows i != k with b_ik == 0 are
+    unchanged and shared with B.  The result shares B's symmetrizer, which the
+    returned SkewForm re-verifies.
     """
     if not 0 <= k < form.n:
         raise IndexError(f"mutation direction {k} out of range for n={form.n}")
@@ -80,11 +109,12 @@ class MutationClassReport:
     witness: Optional[LargeEntry] = None
 
 
-def _find_large_entry(b: Entries) -> Optional[LargeEntry]:
-    n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = abs(b[i][j] * b[j][i])
+def _find_large_entry(b: Entries, vertices: Sequence[int]) -> Optional[LargeEntry]:
+    """First pair i < j of ``vertices`` (ascending) with |b_ij * b_ji| >= 4."""
+    for pos, i in enumerate(vertices):
+        row = b[i]
+        for j in vertices[pos + 1:]:
+            value = abs(row[j] * b[j][i])
             if value >= 4:
                 return LargeEntry(i, j, value)
     return None
@@ -97,33 +127,39 @@ def explore_mutation_class(
 
     Stops at the first matrix with some |b'_ij * b'_ji| >= 4 (the seed
     included), with FiniteClass once no new matrix appears, or with
-    LimitExceeded after more than ``limit`` distinct matrices.
+    LimitExceeded after more than ``limit`` distinct matrices.  Only
+    k's neighbours are scanned for a witness after a mutation at k, and a
+    matrix is never mutated back along the step that produced it (see the
+    module docstring).
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
     seed = form.B.entries
-    witness = _find_large_entry(seed)
+    n = form.n
+    witness = _find_large_entry(seed, range(n))
     if witness is not None:
         return MutationClassReport(ClassStatus.LARGE_ENTRY_FOUND, 1, limit, witness)
     seen = {seed}
-    frontier = [seed]
-    n = form.n
+    frontier = [(seed, -1)]  # (matrix, the direction that produced it)
     while frontier:
         next_frontier = []
-        for current in frontier:
+        for current, came_from in frontier:
             for k in range(n):
+                if k == came_from:
+                    continue
                 candidate = _mutate_entries(current, k)
                 if candidate in seen:
                     continue
                 seen.add(candidate)
-                witness = _find_large_entry(candidate)
+                nbrs = [j for j, v in enumerate(current[k]) if v]
+                witness = _find_large_entry(candidate, nbrs)
                 if witness is not None:
                     return MutationClassReport(
                         ClassStatus.LARGE_ENTRY_FOUND, len(seen), limit, witness
                     )
                 if len(seen) > limit:
                     return MutationClassReport(ClassStatus.LIMIT_EXCEEDED, len(seen), limit)
-                next_frontier.append(candidate)
+                next_frontier.append((candidate, k))
         frontier = next_frontier
     return MutationClassReport(ClassStatus.FINITE_CLASS, len(seen), limit)
 
@@ -157,23 +193,48 @@ def _is_positive_dense(rows: list[list[int]]) -> bool:
     return True
 
 
+def _spanning_forest(n: int, arcs: list[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Arcs that join two components when taken in the given order (union-find)."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest = set()
+    for i, j in arcs:
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[ri] = rj
+            forest.add((i, j))
+    return forest
+
+
 def brute_force_positive_companion(
     form: SkewForm, arc_cap: int = DEFAULT_ARC_CAP
 ) -> Optional[QuasiCartanCompanion]:
-    """Try all 2^m sign patterns over the m arcs; return the first positive companion.
+    """Search the sign patterns over the m arcs; return the first positive companion.
 
-    Patterns are enumerated with +1 before -1 per arc (arcs ordered by
-    index pair), so for example the all-positive companion is tried first.
-    Raises CapExceededError when m exceeds ``arc_cap``.
+    Arcs are ordered by index pair.  The arcs of the spanning forest that
+    this order picks greedily get +1; vertex switching keeps every leading
+    minor, so this loses no answer.  The other m - n + c arcs (c connected
+    components) are enumerated with +1 before -1 each, the earliest arc
+    varying slowest.  So the companion returned is the first positive one
+    in that order, for example the all-positive companion when it is
+    positive.  Raises CapExceededError when m exceeds ``arc_cap``.
     """
     n, b = form.n, form.B.entries
     arcs = sorted((i, j) for i in range(n) for j in range(i + 1, n) if b[i][j] != 0)
     if len(arcs) > arc_cap:
         raise CapExceededError(f"{len(arcs)} arcs exceed the cap of {arc_cap}")
+    forest = _spanning_forest(n, arcs)
+    free = [arc for arc in arcs if arc not in forest]
     base = [[2 if i == j else abs(b[i][j]) for j in range(n)] for i in range(n)]
-    rows = [row[:] for row in base]  # every pattern rewrites all arc entries
-    for pattern in itertools.product((1, -1), repeat=len(arcs)):
-        for (i, j), s in zip(arcs, pattern):
+    rows = [row[:] for row in base]  # forest arcs stay +1; every pattern rewrites the rest
+    for pattern in itertools.product((1, -1), repeat=len(free)):
+        for (i, j), s in zip(free, pattern):
             rows[i][j] = s * base[i][j]
             rows[j][i] = s * base[j][i]
         if _is_positive_dense(rows):

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from finitype import SquareIntMatrix
+from finitype.oracle import ClassStatus, LargeEntry, MutationClassReport
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,94 @@ def walk_is_cyclically_oriented(arcs: set[tuple[int, int]], walk) -> bool:
     forward = sum(1 for i in range(t) if (walk[i], walk[(i + 1) % t]) in arcs)
     backward = sum(1 for i in range(t) if (walk[(i + 1) % t], walk[i]) in arcs)
     return forward + backward == t and (forward == t or backward == t)
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle references: the dense mutation, the plain breadth-first
+# class search and the full 2^m companion search, kept as they were before
+# the library's oracles learned to skip work
+
+def _sgn(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def definition_mutation(b, k: int) -> tuple[tuple[int, ...], ...]:
+    """mu_k(B) entry by entry from the Fomin-Zelevinsky definition."""
+    n = len(b)
+    return tuple(
+        tuple(
+            -b[i][j] if i == k or j == k
+            else b[i][j] + _sgn(b[i][k]) * max(b[i][k] * b[k][j], 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _reference_large_entry(b):
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = abs(b[i][j] * b[j][i])
+            if value >= 4:
+                return LargeEntry(i, j, value)
+    return None
+
+
+def reference_explore_mutation_class(b, limit: int) -> MutationClassReport:
+    """Breadth-first search over every direction, every pair scanned."""
+    witness = _reference_large_entry(b)
+    if witness is not None:
+        return MutationClassReport(ClassStatus.LARGE_ENTRY_FOUND, 1, limit, witness)
+    seen, frontier = {b}, [b]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for k in range(len(b)):
+                candidate = definition_mutation(current, k)
+                if candidate in seen:
+                    continue
+                seen.add(candidate)
+                witness = _reference_large_entry(candidate)
+                if witness is not None:
+                    return MutationClassReport(
+                        ClassStatus.LARGE_ENTRY_FOUND, len(seen), limit, witness)
+                if len(seen) > limit:
+                    return MutationClassReport(ClassStatus.LIMIT_EXCEEDED, len(seen), limit)
+                next_frontier.append(candidate)
+        frontier = next_frontier
+    return MutationClassReport(ClassStatus.FINITE_CLASS, len(seen), limit)
+
+
+def reference_brute_force_found(b) -> bool:
+    """Some sign pattern over all m arcs gives all leading minors positive."""
+    n = len(b)
+    arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if b[i][j]]
+    rows = [[2 if i == j else abs(b[i][j]) for j in range(n)] for i in range(n)]
+    for pattern in product((1, -1), repeat=len(arcs)):
+        for (i, j), s in zip(arcs, pattern):
+            rows[i][j] = s * abs(b[i][j])
+            rows[j][i] = s * abs(b[j][i])
+        if _reference_is_positive(rows):
+            return True
+    return False
+
+
+def _reference_is_positive(rows) -> bool:
+    """Fraction-free elimination that stops at the first pivot <= 0."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (p * a[i][j] - aik * a[k][j]) // prev
+        prev = p
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,14 @@ def test_decide_missing_file(capsys):
     assert run_command(["decide", path("no_such_file.mat")]) == 2
 
 
+def test_path_with_nul_is_an_io_error(capsys):
+    # open() raises ValueError rather than OSError on an embedded NUL
+    assert run_command(["decide", "a\x00b"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 22] embedded null byte: 'a\\x00b'\n"
+    code, report = run_json(capsys, "decide", "a\x00b")
+    assert code == 2 and report["error"]["kind"] == "io_error"
+
+
 def test_unknown_subcommand(capsys):
     assert run_command(["bogus"]) == 2
 
@@ -156,6 +164,22 @@ def test_mutate_round_trip(capsys):
     assert run_command(["mutate", path("a3path.mat"), "-k", "2"]) == 0
     printed = capsys.readouterr().out
     assert parse_matrix(printed).entries == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
+
+
+def test_mutate_output_reads_back_while_its_entries_fit_the_read_limit(capsys, tmp_path):
+    # mutate -k 2 on 0 E 0 / -E 0 E / 0 -E 0 prints E**2; the document reader
+    # keeps its digit limit, so the output reads back only while E**2 fits it
+    limit = sys.get_int_max_str_digits()
+    doc, out = tmp_path / "in.mat", tmp_path / "out.mat"
+    for zeros in (limit // 2 - 1, limit // 2):
+        e = "1" + "0" * zeros
+        doc.write_text(f"3\n0 {e} 0\n-{e} 0 {e}\n0 -{e} 0\n")
+        assert run_command(["mutate", str(doc), "-k", "2"]) == 0
+        out.write_text(capsys.readouterr().out)
+        fits = 2 * zeros + 1 <= limit
+        assert run_command(["decide", str(out)]) == (1 if fits else 2)
+        err = capsys.readouterr().err
+        assert err == ("" if fits else f"error: row 1 has an entry longer than {limit} digits\n")
 
 
 def test_mutate_bad_index(capsys):

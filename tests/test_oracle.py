@@ -1,6 +1,8 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finitype import (
     CapExceededError,
@@ -20,9 +22,15 @@ from helpers import (
     PAIR_OPTIONS,
     a_path,
     cyclic_triangle,
+    d_fork,
+    from_arcs,
+    affine_g2_arcs,
     g2,
     markov,
     random_skew_rows,
+    definition_mutation,
+    reference_brute_force_found,
+    reference_explore_mutation_class,
 )
 
 
@@ -140,3 +148,70 @@ def test_decision_matches_mutation_oracle_exhaustive_small():
         report = explore_mutation_class(form, 10_000)
         assert report.status is not ClassStatus.LIMIT_EXCEEDED
         assert decision.finite == (report.status is ClassStatus.FINITE_CLASS)
+
+
+# ---------------------------------------------------------------------------
+# the oracles against frozen references of their plain forms
+
+@st.composite
+def skew_forms(draw, max_arcs: int = 28) -> SkewForm:
+    """A skew-symmetrizable form with n = 1..8, possibly disconnected.
+
+    Each pair i < j gets a weight x in -3..3 (zero with a drawn
+    probability, +-1 most often otherwise), and diag(d) with d_i = 1..3
+    (1 most often) symmetrizes b_ij = x * d_j / g, b_ji = -x * d_i / g,
+    g = gcd(d_i, d_j).  At most ``max_arcs`` pairs, the first ones in
+    row-major order, get a nonzero weight.  Heavy weights mostly stop the
+    class search at the seed, so light ones keep it going.
+    """
+    n = draw(st.integers(1, 8))
+    d = draw(st.lists(st.sampled_from((1, 1, 1, 1, 2, 3)), min_size=n, max_size=n))
+    weights = (0,) * draw(st.integers(1, 24)) + (1, -1) * 8 + (2, -2, 3, -3)
+    rows = [[0] * n for _ in range(n)]
+    arcs = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.sampled_from(weights))
+            if x and arcs < max_arcs:
+                g = gcd(d[i], d[j])
+                rows[i][j], rows[j][i] = x * d[j] // g, -x * d[i] // g
+                arcs += 1
+    return form_of(SquareIntMatrix.from_rows(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_forms())
+def test_mutate_matches_the_definition(form):
+    for k in range(form.n):
+        assert mutate(form, k).B.entries == definition_mutation(form.B.entries, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_forms(), st.one_of(st.integers(1, 5), st.integers(1, 200)))
+@example(form_of(a_path(4)), 200)   # FiniteClass: 144 matrices
+@example(form_of(d_fork(4)), 200)   # FiniteClass: 50 matrices
+@example(form_of(a_path(5)), 200)   # LimitExceeded
+@example(form_of(markov()), 1)      # LargeEntryFound at the seed
+@example(form_of(from_arcs(5, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1})), 200)  # D~4
+@example(form_of(from_arcs(*affine_g2_arcs())), 200)  # LargeEntryFound after 7 matrices
+@example(form_of(SquareIntMatrix.from_rows([[0, 2, 0], [-1, 0, 1], [0, -1, 0]])), 200)
+def test_explore_matches_the_plain_search(form, limit):
+    expected = reference_explore_mutation_class(form.B.entries, limit)
+    assert explore_mutation_class(form, limit) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_forms(max_arcs=10))
+@example(form_of(cyclic_triangle()))
+@example(form_of(markov()))
+# the first four arcs form an oriented 4-cycle, which needs one arc at -1
+@example(form_of(from_arcs(6, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (4, 5): 1})))
+def test_brute_force_matches_the_full_search(form):
+    companion = brute_force_positive_companion(form)
+    assert (companion is not None) == reference_brute_force_found(form.B.entries)
+    if companion is not None:
+        assert is_positive(companion.C)
+        b, c = form.B.entries, companion.C.entries
+        assert all(c[i][i] == 2 for i in range(form.n))
+        assert all(abs(c[i][j]) == abs(b[i][j]) for i in range(form.n)
+                   for j in range(form.n) if i != j)
