@@ -14,7 +14,6 @@ from .companion import (
     SignAssignment,
     assign_signs,
     build_companion,
-    satisfies_sign_condition,
 )
 from .decision import (
     Certificate,
@@ -29,9 +28,7 @@ from .exactmat import (
     SkewForm,
     SquareIntMatrix,
     compute_skew_symmetrizer,
-    determinant,
     first_nonpositive_minor,
-    is_positive,
     leading_principal_minors,
 )
 from .oracle import (
@@ -90,16 +87,13 @@ __all__ = [
     "compute_skew_symmetrizer",
     "decide",
     "decide_matrix",
-    "determinant",
     "explore_mutation_class",
     "first_nonpositive_minor",
     "format_matrix",
-    "is_positive",
     "leading_principal_minors",
     "mutate",
     "parse_matrix",
     "positive_companion_exists",
     "run_command",
-    "satisfies_sign_condition",
     "two_connected_components",
 ]

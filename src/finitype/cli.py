@@ -108,11 +108,14 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         parts = line.split()
         if len(parts) != n:
             raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
-        # int() only on the tokens other than a plain "0"; "00" and "-0" still go through it
-        row = [0] * n
+        # int() only on the tokens other than a plain "0"; "00" and "-0" go
+        # through it and, being zero, are not stored
+        row = []
         try:
             for j in compress(range(n), map(ne, parts, repeat("0"))):
-                row[j] = int(parts[j])
+                v = int(parts[j])
+                if v:
+                    row.append((j, v))
         except ValueError:
             if all(map(_INTEGER.fullmatch, parts)):  # only the digit limit is left
                 raise MatrixParseError(
@@ -280,8 +283,7 @@ def _cmd_companion(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]
     c = result.companion.C
     # build_companion sets c_ij = s * |b_ij| on every edge, so the signs read back exactly
     signs = [
-        [i + 1, j + 1, 1 if row[j] > 0 else -1]
-        for i, row in enumerate(c.entries) for j in compress(range(i + 1, c.n), row[i + 1:])
+        [i + 1, j + 1, 1 if v > 0 else -1] for i, row in enumerate(c.rows) for j, v in row if j > i
     ]
     payload = {
         "cyclically_oriented": True,
@@ -424,27 +426,27 @@ _MATRIX_SLOT = math.nan
 _SPLICE = re.compile(r": NaN(?=,?\n)")
 
 
-def _matrix_json(rows: tuple[tuple[int, ...], ...], depth: int) -> str:
-    """``rows`` exactly as ``json.dumps(..., indent=2)`` renders them at indent level ``depth``.
+def _matrix_json(matrix: SquareIntMatrix, depth: int) -> str:
+    """``matrix.entries`` as ``json.dumps(..., indent=2)`` renders them at indent level ``depth``.
 
-    Each row is built from its nonzero entries; every run of zeros is a
-    slice of one string of ``",\\n<indent>0"`` units.
+    Each row is built from its nonzero pairs; every run of zeros is a slice
+    of one string of ``",\\n<indent>0"`` units.
     """
-    if not rows:
+    if not matrix.n:
         return "[]"
     row_indent, entry_indent = "  " * (depth + 1), "  " * (depth + 2)
     sep = ",\n" + entry_indent
     unit = len(sep) + 1
-    zeros = (sep + "0") * len(rows[0])
+    zeros = (sep + "0") * matrix.n
     rendered = []
-    for row in rows:
+    for row in matrix.rows:
         pieces = []
         start = 0  # first column not rendered yet
-        for j in compress(range(len(row)), row):
+        for j, v in row:
             pieces.append(zeros[: (j - start) * unit])
-            pieces.append(sep + str(row[j]))
+            pieces.append(sep + str(v))
             start = j + 1
-        pieces.append(zeros[: (len(row) - start) * unit])
+        pieces.append(zeros[: (matrix.n - start) * unit])
         # the entries, each after a separator: the first one's "," becomes the "["
         rendered.append("[" + "".join(pieces)[1:] + "\n" + row_indent + "]")
     return "[\n" + row_indent + (",\n" + row_indent).join(rendered) + "\n" + "  " * depth + "]"
@@ -460,15 +462,15 @@ def _report_json(report: dict) -> str:
     matrices = []
 
     def slot(matrix: SquareIntMatrix) -> float:
-        matrices.append(matrix.entries)
+        matrices.append(matrix)
         return _MATRIX_SLOT
 
     head, *tails = _SPLICE.split(json.dumps(report, indent=2, default=slot))
     pieces = [head]
-    for rows, tail in zip(matrices, tails):
+    for matrix, tail in zip(matrices, tails):
         key_line = pieces[-1][pieces[-1].rfind("\n") + 1:]
         depth = (len(key_line) - len(key_line.lstrip(" "))) // 2
-        pieces += [": ", _matrix_json(rows, depth), tail]
+        pieces += [": ", _matrix_json(matrix, depth), tail]
     return "".join(pieces)
 
 

@@ -10,12 +10,12 @@ one companion decides whether any positive companion exists.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Optional
+from typing import Optional
 
-from .exactmat import SkewForm, SquareIntMatrix
-from .quiver import ChordlessCycle, CycleInventory, Quiver, edge_key
+from .exactmat import SMALL_PAIRS, SkewForm, SquareIntMatrix
+from .quiver import CycleInventory, Quiver, edge_key
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,12 @@ class QuasiCartanCompanion:
 
     def __post_init__(self) -> None:
         """Each nonzero c_ij needs a partner c_ji of the same sign; zero pairs pass."""
-        c = self.C.entries
-        for i, row in enumerate(c):
-            if row[i] != 2:
+        for i, (row, col) in enumerate(zip(self.C.rows, self.C.columns())):
+            partner = dict(col)  # c_ji by j
+            if partner.get(i) != 2:
                 raise ValueError("companion diagonal must be 2")
-            for j in compress(range(self.C.n), row):
-                if row[j] * c[j][i] <= 0:
+            for j, v in row:
+                if v * partner.get(j, 0) <= 0:
                     raise ValueError("companion must be symmetric by signs")
 
     @property
@@ -86,36 +86,23 @@ class QuasiCartanCompanion:
 def build_companion(form: SkewForm, signs: SignAssignment) -> QuasiCartanCompanion:
     """c_ii = 2 and c_ij = sign(i, j) * |b_ij|; signs must cover every edge of G(B).
 
-    Only the nonzero entries of B are visited.  B's symmetrizer D also
-    symmetrizes C with no further check: both directions of an edge get the
-    same sign s, so d_i * c_ij = s * d_i * |b_ij| = s * d_j * |b_ji| =
-    d_j * c_ji by the SkewForm's own D*B check.
+    Only the nonzero entries of B are visited, and C is stored the same
+    way: each row of B's pairs with its sign applied and (i, 2) put in
+    column order.  B's symmetrizer D also symmetrizes C with no further
+    check: both directions of an edge get the same sign s, so d_i * c_ij =
+    s * d_i * |b_ij| = s * d_j * |b_ji| = d_j * c_ji by the SkewForm's own
+    D*B check.
     """
-    n = form.n
     rows = []
-    for i, b_row in enumerate(form.B.entries):
-        row = [0] * n
-        row[i] = 2
-        for j in compress(range(n), b_row):
+    for i, b_row in enumerate(form.B.rows):
+        row = []
+        for j, v in b_row:
             s = signs.sign(i, j)
             if s == 0:
                 raise ValueError(f"no sign assigned to edge ({i}, {j})")
-            row[j] = s * abs(b_row[j])
+            pair = (j, s * abs(v))
+            row.append(SMALL_PAIRS.get(pair, pair))
+        # a skew form has no diagonal entry, so insort compares only the columns
+        insort(row, SMALL_PAIRS.get((i, 2), (i, 2)))
         rows.append(tuple(row))
-    return QuasiCartanCompanion(SquareIntMatrix(n, tuple(rows)))
-
-
-def satisfies_sign_condition(
-    companion: QuasiCartanCompanion, cycles: Iterable[ChordlessCycle]
-) -> bool:
-    """Product of (-c_ij) over the edges of every given cycle is negative."""
-    c = companion.C.entries
-    for cycle in cycles:
-        verts = cycle.vertices
-        prod = 1
-        for i in range(len(verts)):
-            u, v = verts[i], verts[(i + 1) % len(verts)]
-            prod *= -c[u][v]
-        if prod >= 0:
-            return False
-    return True
+    return QuasiCartanCompanion(SquareIntMatrix(form.n, tuple(rows)))

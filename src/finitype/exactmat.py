@@ -6,6 +6,15 @@ coprime positive integers, and ``D*B`` is checked in integers.  No floating
 point anywhere; the positivity test needs the exact sign of every leading
 principal minor.
 
+A ``SquareIntMatrix`` stores only its nonzero entries: for each row, the
+(column, value) pairs in ascending column order.  Every check below walks
+those pairs, so each costs O(n + m) on a matrix with m nonzero entries, and
+elimination costs O(n + m) plus its fill, besides the arithmetic.  A check
+that needs b_ji next to b_ij reads it from the matrix's columns, built once
+per call in O(n + m).  The dense grid, ``entries``, is built only when
+something reads it, and not kept; ``from_rows`` is the one place that scans
+an n-by-n grid.
+
 One routine, ``_pivots``, does all elimination: fraction-free (Bareiss)
 steps over sparse rows of a leading block.  Its k-th value is the k-th
 leading minor of the block.  On a zero pivot it swaps in the first lower
@@ -31,10 +40,19 @@ straight from its step-s values by (p_k * a_ij - a_ik * a_kj) / p_{s-1}.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
+
+Row = tuple[tuple[int, int], ...]  # (column, value) pairs of the nonzero entries, ascending
+
+# One shared object per pair with a small column and value, as CPython shares
+# small ints: most entries of a small matrix then cost one pointer, as in a
+# dense grid, instead of a 56-byte pair of their own.  Never mutated.
+SMALL_PAIRS = {(j, v): (j, v) for j in range(64) for v in range(-4, 5) if v}
 
 
 class NotSkewSymmetrizableError(ValueError):
@@ -43,21 +61,60 @@ class NotSkewSymmetrizableError(ValueError):
 
 @dataclass(frozen=True)
 class SquareIntMatrix:
-    """Dense n-by-n matrix of arbitrary-precision integers."""
+    """n-by-n matrix of arbitrary-precision integers, stored by its nonzero entries.
+
+    ``rows[i]`` holds the (column, value) pairs of row i's nonzero entries
+    in ascending column order, so equal matrices have equal rows.  The
+    dense grid is not kept: ``entries`` builds it on every read.
+    """
 
     n: int
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError("entries must form an n-by-n grid")
+        if len(self.rows) != self.n:
+            raise ValueError("a matrix needs exactly n rows")
+        for row in self.rows:
+            last = -1
+            for j, v in row:
+                if not last < j < self.n or not v:
+                    raise ValueError(
+                        "each row must hold nonzero entries in ascending columns below n"
+                    )
+                last = j
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SquareIntMatrix":
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(grid), grid)
+        """The matrix of dense rows: one scan of the n-by-n grid."""
+        grid = [tuple(map(int, row)) for row in rows]
+        n = len(grid)
+        if any(len(row) != n for row in grid):
+            raise ValueError("entries must form an n-by-n grid")
+        return cls(n, tuple(
+            tuple(SMALL_PAIRS.get(p, p) for p in zip(compress(range(n), row), filter(None, row)))
+            for row in grid
+        ))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense n-by-n grid, built anew on each read: O(n^2)."""
+        grid = []
+        for row in self.rows:
+            dense = [0] * self.n
+            for j, v in row:
+                dense[j] = v
+            grid.append(tuple(dense))
+        return tuple(grid)
+
+    def columns(self) -> list[list[tuple[int, int]]]:
+        """(row, value) pairs of each column's nonzero entries, in ascending row order."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return cols
 
 
 @dataclass(frozen=True)
@@ -90,7 +147,7 @@ class SkewForm:
     D: DiagonalRational
 
     def __post_init__(self) -> None:
-        """Check d_i * b_ij == -d_j * b_ji at every nonzero entry.
+        """Check d_i * b_ij == -d_j * b_ji at every nonzero entry, in row-major order.
 
         With D positive this also forces a zero diagonal and each pair
         both zero or opposite in sign: a nonzero entry whose partner breaks
@@ -98,10 +155,11 @@ class SkewForm:
         """
         if self.B.n != self.D.n:
             raise ValueError("matrix and symmetrizer dimensions differ")
-        b, d = self.B.entries, self.D.d
-        for i, row in enumerate(b):
-            for j in compress(range(len(row)), row):
-                if d[i] * row[j] != -d[j] * b[j][i]:
+        d = self.D.d
+        for i, (row, col) in enumerate(zip(self.B.rows, self.B.columns())):
+            partner = dict(col)  # b_ji by j
+            for j, v in row:
+                if d[i] * v != -d[j] * partner.get(j, 0):
                     raise NotSkewSymmetrizableError(
                         f"D*B is not skew-symmetric at vertices ({i + 1}, {j + 1})"
                     )
@@ -111,38 +169,22 @@ class SkewForm:
         return self.B.n
 
 
-def _neighbors(B: SquareIntMatrix) -> list[list[tuple[int, int]]]:
-    """Nonzero (column, value) pairs per row, in column order.
-
-    Raises NotSkewSymmetrizableError on a nonzero diagonal entry, or on a
-    nonzero entry whose partner is zero or has the same sign.
-    """
-    b = B.entries
-    out = []
-    for i, row in enumerate(b):
-        pairs = [(j, row[j]) for j in compress(range(len(row)), row)]
-        for j, v in pairs:
-            if v * b[j][i] >= 0:  # includes i == j, where the partner is v itself
-                raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
-        out.append(pairs)
-    return out
-
-
 def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
     """Find the canonical positive diagonal D with D*B skew-symmetric.
 
-    One pass collects the nonzero pairs and rejects sign violations.  One
-    free scale exists per connected component of that pattern; it is fixed
-    by setting d = 1 on the smallest vertex of the component and
+    One free scale exists per connected component of B's pattern; it is
+    fixed by setting d = 1 on the smallest vertex of the component and
     propagating d_j = d_i * |b_ij| / |b_ji| breadth-first, each d_j kept as
-    a reduced pair (num, den) of ints.  Scaling by the lcm of the
-    denominators and dividing by the gcd of the results gives coprime
-    positive integers.  The SkewForm then checks D*B at every nonzero
-    entry, which catches inconsistent cycles.  Raises
-    NotSkewSymmetrizableError when no D exists.
+    a reduced pair (num, den) of ints.  Each row is checked by signs as the
+    search reaches it: its pattern must equal that of the same column and
+    each pair b_ij, b_ji must be opposite in sign, which also rules out a
+    diagonal entry.  Then zipping row i with column i pairs each b_ij with
+    b_ji.  Scaling by the lcm of the denominators and dividing by the gcd
+    of the results gives coprime positive integers.  The SkewForm then
+    checks D*B at every nonzero entry, which catches inconsistent cycles.
+    Raises NotSkewSymmetrizableError when no D exists.
     """
-    adjacency = _neighbors(B)
-    b = B.entries
+    rows, cols = B.rows, B.columns()
     num = [0] * B.n  # 0 marks a vertex not reached yet
     den = [1] * B.n
     for root in range(B.n):
@@ -151,9 +193,14 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
         num[root] = 1
         queue = [root]
         for i in queue:
-            for j, v in adjacency[i]:
+            row, col = rows[i], cols[i]
+            if len(row) != len(col):
+                raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
+            for (j, v), (k, w) in zip(row, col):
+                if j != k or v * w >= 0:
+                    raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
                 if not num[j]:
-                    p, q = num[i] * abs(v), den[i] * abs(b[j][i])
+                    p, q = num[i] * abs(v), den[i] * abs(w)
                     g = gcd(p, q)
                     num[j], den[j] = p // g, q // g
                     queue.append(j)
@@ -166,9 +213,10 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
 def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
     """Fraction-free elimination pivots of the leading size-by-size block.
 
-    Rows are sparse {column: value} dicts.  ``below[j]`` holds the lower
-    rows with a nonzero in column j, kept current on fill and
-    cancellation, and step k updates only the rows in ``below[k]``.  Row i
+    Rows are {column: value} dicts of the matrix's nonzero pairs left of
+    column ``size``.  ``below[j]`` holds the lower rows with a nonzero in
+    column j, kept current on fill and cancellation, and step k updates
+    only the rows in ``below[k]``.  Row i
     holds the values of step ``stamp[i]``, and ``scale[k]`` is p_{k-1},
     the divisor of step k.  A stale row is brought up to date only when it
     is used: as the pivot row or the row swapped in, it is multiplied by
@@ -177,7 +225,7 @@ def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
     says why both divisions are exact, what the values are and the
     zero-pivot rule.
     """
-    rows = [{j: row[j] for j in compress(range(size), row)} for row in M.entries[:size]]
+    rows = [dict(row[:bisect_left(row, size, key=itemgetter(0))]) for row in M.rows[:size]]
     below: list[set[int]] = [set() for _ in range(size)]
     for i, row in enumerate(rows):
         for j in row:
@@ -239,11 +287,6 @@ def _block_determinant(M: SquareIntMatrix, size: int) -> int:
     return det
 
 
-def determinant(M: SquareIntMatrix) -> int:
-    """Exact determinant; the empty matrix has determinant 1."""
-    return _block_determinant(M, M.n)
-
-
 def leading_principal_minors(M: SquareIntMatrix) -> list[int]:
     """det(M[:k, :k]) for k = 1..n, exactly.
 
@@ -269,12 +312,3 @@ def first_nonpositive_minor(M: SquareIntMatrix) -> Optional[tuple[int, int]]:
         if p <= 0:
             return k, p
     return None
-
-
-def is_positive(M: SquareIntMatrix) -> bool:
-    """Sylvester criterion: every leading principal minor strictly positive.
-
-    Valid for symmetrizable matrices, not just symmetric ones; the empty
-    matrix is vacuously positive.
-    """
-    return first_nonpositive_minor(M) is None

@@ -83,7 +83,7 @@ def mutate(form: SkewForm, k: int) -> SkewForm:
     """
     if not 0 <= k < form.n:
         raise IndexError(f"mutation direction {k} out of range for n={form.n}")
-    return SkewForm(SquareIntMatrix(form.n, _mutate_entries(form.B.entries, k)), form.D)
+    return SkewForm(SquareIntMatrix.from_rows(_mutate_entries(form.B.entries, k)), form.D)
 
 
 class ClassStatus(Enum):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .exactmat import SkewForm
@@ -50,20 +50,22 @@ def build_quiver(form: SkewForm) -> Quiver:
     """Graph with an arc i -> j of weight b_ij for every b_ij > 0.
 
     Reads only the nonzero entries above the diagonal; a skew form's
-    pattern is symmetric, so they name every edge once.
+    pattern is symmetric, so they name every edge once, and each row's
+    columns are that vertex's neighbours in ascending order.  When b_ij < 0
+    the arc is j -> i with weight b_ji = -b_ij * d_i / d_j, exactly, by the
+    SkewForm's own D*B check.
     """
-    n, b = form.n, form.B.entries
+    d = form.D.d
     arcs: dict[tuple[int, int], int] = {}
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(b):
-        for j in compress(range(i + 1, n), row[i + 1:]):
-            if row[j] > 0:
-                arcs[(i, j)] = row[j]
-            else:
-                arcs[(j, i)] = b[j][i]
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    return Quiver(n, arcs, tuple(tuple(sorted(adj)) for adj in adjacency))
+    for i, row in enumerate(form.B.rows):
+        for j, v in row:
+            if j > i:
+                if v > 0:
+                    arcs[(i, j)] = v
+                else:
+                    arcs[(j, i)] = -v * d[i] // d[j]
+    neighbors = tuple(tuple(map(itemgetter(0), row)) for row in form.B.rows)
+    return Quiver(form.n, arcs, neighbors)
 
 
 class ComponentKind(Enum):

@@ -14,7 +14,15 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
-from finitype import SquareIntMatrix
+from hypothesis import strategies as st
+
+from finitype import (
+    NotSkewSymmetrizableError,
+    QuasiCartanCompanion,
+    SquareIntMatrix,
+    first_nonpositive_minor,
+)
+from finitype.exactmat import _pivots
 from finitype.oracle import ClassStatus, LargeEntry, MutationClassReport
 
 
@@ -244,7 +252,187 @@ def _reference_is_positive(rows) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# predicates the library does not need
+# frozen dense references: the symmetrizer, quiver, companion and elimination
+# as they were while SquareIntMatrix held the dense grid, each scanning all
+# n^2 entries; the library's sparse stages must give the same results
+
+def reference_skew_form_error(rows, d):
+    """The message SkewForm raises for B = ``rows`` and D = ``d``, or None."""
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            if row[j] and d[i] * row[j] != -d[j] * rows[j][i]:
+                return f"D*B is not skew-symmetric at vertices ({i + 1}, {j + 1})"
+    return None
+
+
+def reference_skew_symmetrizer(rows) -> tuple[int, ...]:
+    """Canonical D of ``rows``; raises NotSkewSymmetrizableError as the library does."""
+    n = len(rows)
+    adjacency = []
+    for i, row in enumerate(rows):
+        pairs = [(j, row[j]) for j in range(n) if row[j]]
+        for j, v in pairs:
+            if v * rows[j][i] >= 0:
+                raise NotSkewSymmetrizableError("matrix is not skew-symmetric by signs")
+        adjacency.append(pairs)
+    num = [0] * n
+    den = [1] * n
+    for root in range(n):
+        if num[root]:
+            continue
+        num[root] = 1
+        queue = [root]
+        for i in queue:
+            for j, v in adjacency[i]:
+                if not num[j]:
+                    p, q = num[i] * abs(v), den[i] * abs(rows[j][i])
+                    g = gcd(p, q)
+                    num[j], den[j] = p // g, q // g
+                    queue.append(j)
+    scale = lcm(*den)
+    d = [p * (scale // q) for p, q in zip(num, den)]
+    g = gcd(*d)
+    d = tuple(v // g for v in d)
+    error = reference_skew_form_error(rows, d)
+    if error is not None:
+        raise NotSkewSymmetrizableError(error)
+    return d
+
+
+def reference_quiver(rows) -> tuple[list, tuple]:
+    """(arcs in insertion order, neighbour lists) of a skew form's dense rows."""
+    n = len(rows)
+    arcs: dict[tuple[int, int], int] = {}
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if row[j]:
+                if row[j] > 0:
+                    arcs[(i, j)] = row[j]
+                else:
+                    arcs[(j, i)] = rows[j][i]
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return list(arcs.items()), tuple(tuple(sorted(adj)) for adj in adjacency)
+
+
+def reference_companion(rows, signs) -> tuple[tuple[int, ...], ...]:
+    """Dense rows of the companion; raises ValueError on an edge without a sign."""
+    n = len(rows)
+    out = []
+    for i, b_row in enumerate(rows):
+        row = [0] * n
+        row[i] = 2
+        for j in range(n):
+            if b_row[j]:
+                s = signs.sign(i, j)
+                if s == 0:
+                    raise ValueError(f"no sign assigned to edge ({i}, {j})")
+                row[j] = s * abs(b_row[j])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_companion_error(rows):
+    """The message QuasiCartanCompanion raises for C = ``rows``, or None."""
+    for i, row in enumerate(rows):
+        if row[i] != 2:
+            return "companion diagonal must be 2"
+        for j in range(len(row)):
+            if row[j] and row[j] * rows[j][i] <= 0:
+                return "companion must be symmetric by signs"
+    return None
+
+
+def reference_pivots(rows, size: int) -> list[int]:
+    """Pivots of the sparse Bareiss elimination of the leading size-by-size block."""
+    work = [{j: row[j] for j in range(size) if row[j]} for row in rows[:size]]
+    below: list[set[int]] = [set() for _ in range(size)]
+    for i, row in enumerate(work):
+        for j in row:
+            below[j].add(i)
+
+    def current(row, num, den):
+        return row if num == den else {j: v * num // den for j, v in row.items()}
+
+    out = []
+    scale = [1]
+    stamp = [0] * size
+    for k in range(size):
+        prev = scale[k]
+        pivot_row = current(work[k], prev, scale[stamp[k]])
+        for j in pivot_row:
+            below[j].discard(k)
+        p = pivot_row.get(k, 0)
+        out.append(p)
+        if p == 0:
+            if not below[k]:
+                return out
+            swap = min(below[k])
+            swapped = current(work[swap], -prev, scale[stamp[swap]])
+            for j in swapped:
+                below[j].discard(swap)
+            for j in pivot_row:
+                below[j].add(swap)
+            work[swap], stamp[swap] = pivot_row, k
+            pivot_row = swapped
+            p = pivot_row[k]
+        rest = [(j, w) for j, w in pivot_row.items() if j != k]
+        for i in below[k]:
+            ri = work[i]
+            aik = ri.pop(k)
+            merged = {j: v * p for j, v in ri.items()}
+            for j, w in rest:
+                if j in merged:
+                    val = merged[j] - aik * w
+                    if val:
+                        merged[j] = val
+                    else:
+                        del merged[j]
+                        below[j].discard(i)
+                else:
+                    merged[j] = -aik * w
+                    below[j].add(i)
+            divisor = scale[stamp[i]]
+            work[i] = {j: v // divisor for j, v in merged.items()}
+            stamp[i] = k + 1
+        scale.append(p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# predicates and wrappers the library does not need
+
+def determinant(matrix: SquareIntMatrix) -> int:
+    """Exact determinant: the last value of one elimination pass; the empty matrix has 1."""
+    det = 1
+    for det in _pivots(matrix, matrix.n):
+        pass
+    return det
+
+
+def is_positive(matrix: SquareIntMatrix) -> bool:
+    """Sylvester criterion: every leading principal minor strictly positive.
+
+    Valid for symmetrizable matrices, not just symmetric ones; the empty
+    matrix is vacuously positive.
+    """
+    return first_nonpositive_minor(matrix) is None
+
+
+def satisfies_sign_condition(companion: QuasiCartanCompanion, cycles) -> bool:
+    """Product of (-c_ij) over the edges of every given cycle is negative."""
+    c = companion.C.entries
+    for cycle in cycles:
+        verts = cycle.vertices
+        prod = 1
+        for i in range(len(verts)):
+            u, v = verts[i], verts[(i + 1) % len(verts)]
+            prod *= -c[u][v]
+        if prod >= 0:
+            return False
+    return True
+
 
 def is_skew_symmetric_by_signs(matrix: SquareIntMatrix) -> bool:
     """Zero diagonal, and each off-diagonal pair both zero or opposite in sign."""
@@ -263,8 +451,17 @@ def signs_total_on(signs, g) -> bool:
 # ---------------------------------------------------------------------------
 # matrix builders (0-based; arc (i, j) means b_ij > 0)
 
+def sparse_from_arcs(n: int, arcs: dict) -> SquareIntMatrix:
+    """b_ij = w = -b_ji for each arc (i, j) -> w, built from the nonzero rows alone."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), w in arcs.items():
+        rows[i].append((j, w))
+        rows[j].append((i, -w))
+    return SquareIntMatrix(n, tuple(tuple(sorted(row)) for row in rows))
+
+
 def identity(n: int) -> SquareIntMatrix:
-    return SquareIntMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return SquareIntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def from_arcs(n: int, arcs: dict) -> SquareIntMatrix:
@@ -500,3 +697,55 @@ def random_cyclically_oriented_arcs(
 
 def arcs_to_arcset(arcs: dict) -> set[tuple[int, int]]:
     return set(arcs.keys())
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies: dense grids, n = 0..12
+
+def _break_entries(draw, rows, max_breaks: int, factors) -> None:
+    """Multiply up to ``max_breaks`` entries (a zero read as 1) by one of ``factors``."""
+    n = len(rows)
+    for _ in range(draw(st.integers(0, max_breaks)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from(factors)) * (rows[i][j] or 1)
+
+
+@st.composite
+def perturbed_skew_grids(draw, max_breaks: int = 2):
+    """Skew-symmetrizable grids, then up to ``max_breaks`` entries changed.
+
+    b_ij = x * d_j and b_ji = -x * d_i make diag(d) * B skew-symmetric.  A
+    break flips a sign, zeroes half a pair, sets a diagonal entry or makes
+    the weights around a cycle inconsistent.
+    """
+    n = draw(st.integers(0, 12))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.sampled_from((0, 0, 0, -2, -1, 1, 2)))
+            rows[i][j], rows[j][i] = x * d[j], -x * d[i]
+    _break_entries(draw, rows, max_breaks, (-3, -1, 0, 2, 5))
+    return rows
+
+
+@st.composite
+def companion_grids(draw):
+    """2 on the diagonal and sign-symmetric pairs, then up to two entries changed."""
+    n = draw(st.integers(0, 12))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+        for j in range(i + 1, n):
+            s = draw(st.sampled_from((0, 0, 0, -1, 1)))
+            rows[i][j], rows[j][i] = s * draw(st.integers(1, 3)), s * draw(st.integers(1, 3))
+    _break_entries(draw, rows, 2, (-2, -1, 0, 3))
+    return rows
+
+
+@st.composite
+def square_grids(draw):
+    """Any sparse integer grid, zero and negative diagonal entries included."""
+    n = draw(st.integers(0, 12))
+    entry = st.sampled_from((0, 0, 0, 0, 0, -2, -1, 1, 2, 3))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]

@@ -29,10 +29,8 @@ from finitype import (
     compute_skew_symmetrizer,
     decide_matrix,
     explore_mutation_class,
-    is_positive,
     mutate,
     positive_companion_exists,
-    satisfies_sign_condition,
 )
 
 from helpers import (
@@ -52,11 +50,14 @@ from helpers import (
     from_arcs,
     g2,
     independent_leading_minor,
+    is_positive,
     markov,
     random_cyclically_oriented_arcs,
     random_skew_rows,
     relabel,
     reversed_arcs,
+    satisfies_sign_condition,
+    sparse_from_arcs,
 )
 
 
@@ -306,19 +307,41 @@ def test_criterion_7_chordless_cycle_correctness():
             assert len(inventory.cycles) <= n
 
 
-def test_criterion_8_complexity_smoke():
-    with criterion(8, "n=500 path and n=300 cycle decide within budget"):
+def test_criterion_8_complexity_smoke(monkeypatch):
+    with criterion(8, "n=500 path, n=300 cycle, n=20000 path and cycle decide within budget"):
         t0 = time.monotonic()
         decision = decide_matrix(a_path(500))
         path_elapsed = time.monotonic() - t0
         assert decision.finite
-        assert path_elapsed < 10.0, f"path took {path_elapsed:.2f}s"
+        assert path_elapsed < 2.0, f"path took {path_elapsed:.2f}s"
 
         t0 = time.monotonic()
         decision = decide_matrix(cyclic_cycle(300))
         cycle_elapsed = time.monotonic() - t0
         assert decision.finite
-        assert cycle_elapsed < 10.0, f"cycle took {cycle_elapsed:.2f}s"
+        assert cycle_elapsed < 2.0, f"cycle took {cycle_elapsed:.2f}s"
+
+        # built from their nonzero rows; reading a dense view of either B or
+        # C fails at once instead of allocating n^2 entries
+        n = 20_000
+        rng = random.Random(8)
+        path = sparse_from_arcs(n, dict(
+            ((i, i + 1) if rng.random() < 0.5 else (i + 1, i), 1) for i in range(n - 1)))
+        cycle = sparse_from_arcs(n, {(i, (i + 1) % n): 1 for i in range(n)})
+
+        def no_dense_view(matrix):
+            raise AssertionError(f"the dense view of an n = {matrix.n} matrix was read")
+
+        for name, matrix, det in (("path", path, n + 1), ("cycle", cycle, 4)):
+            with monkeypatch.context() as patch:
+                patch.setattr(SquareIntMatrix, "entries", property(no_dense_view))
+                t0 = time.monotonic()
+                decision = decide_matrix(matrix)
+                elapsed = time.monotonic() - t0
+            assert decision.finite
+            # det of the A_n and D_n Cartan matrices, which sign switching keeps
+            assert decision.certificate.minors[-1] == det, name
+            assert elapsed < 2.0, f"n = {n} {name} took {elapsed:.2f}s"
 
 
 def test_criterion_9_sign_flip_invariance():

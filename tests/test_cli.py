@@ -94,7 +94,11 @@ def test_parse_only_line_feed_breaks_lines_and_only_space_tab_separate(char):
 
 @pytest.mark.parametrize("zero", ["0", "00", "-0", "-00"])
 def test_parse_zero_spellings(zero):
-    assert parse_matrix(f"2\n{zero} 1\n-1 {zero}\n").entries == ((0, 1), (-1, 0))
+    matrix = parse_matrix(f"3\n{zero} 1 {zero}\n-1 {zero} {zero}\n{zero} {zero} {zero}\n")
+    assert matrix.entries == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+    # a stored zero would break equality with the same matrix spelled with plain 0
+    assert matrix == parse_matrix("3\n0 1 0\n-1 0 0\n0 0 0\n")
+    assert all(v for row in matrix.rows for _, v in row)
 
 
 def test_parse_entry_over_digit_limit():
@@ -482,6 +486,23 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     code = run_command(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert code == 0 and proc.stdout == capsys.readouterr().out
+
+
+def test_reports_are_the_same_under_python_dash_O():
+    # no check may live in an assert, which -O strips
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(Path(finitype.__file__).resolve().parent.parent)}
+    for doc in sorted(DATA.glob("*.mat")):
+        for command in ("decide", "companion"):
+            runs = [
+                subprocess.run(
+                    [sys.executable, *flags, "-m", "finitype", command, str(doc), "--json"],
+                    cwd=root, capture_output=True, timeout=60, env=env,
+                )
+                for flags in ([], ["-O"])
+            ]
+            plain, optimized = ((proc.returncode, proc.stdout) for proc in runs)
+            assert optimized == plain, (doc.name, command)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finitype
 
@@ -12,6 +13,8 @@ from finitype import (
     Certificate,
     CompanionNotPositive,
     CycleInventory,
+    QuasiCartanCompanion,
+    SignAssignment,
     SquareIntMatrix,
     assign_signs,
     brute_force_positive_companion,
@@ -20,18 +23,24 @@ from finitype import (
     chordless_cycles_cod,
     compute_skew_symmetrizer,
     decide_matrix,
-    is_positive,
     parse_matrix,
     positive_companion_exists,
-    satisfies_sign_condition,
 )
 
+from finitype.quiver import edge_key
+
 from helpers import (
+    companion_grids,
     cyclic_cycle,
     cyclic_triangle,
     from_arcs,
+    is_positive,
     markov,
+    perturbed_skew_grids,
     random_cyclically_oriented_arcs,
+    reference_companion,
+    reference_companion_error,
+    satisfies_sign_condition,
     signs_total_on,
 )
 
@@ -94,6 +103,39 @@ def test_build_companion_markov_all_plus():
     flipped = SquareIntMatrix.from_rows([[2, 2, -2], [2, 2, 2], [-2, 2, 2]])
     assert not is_positive(flipped)
     assert not is_positive(companion.C)
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_skew_grids(max_breaks=0), st.data())
+def test_build_companion_matches_dense_reference(rows, data):
+    # any signs, sometimes with one edge left out: the same entries or the same error
+    form = compute_skew_symmetrizer(SquareIntMatrix.from_rows(rows))
+    edges = sorted(edge_key(i, j) for i, j in build_quiver(form).arcs)
+    signs = {e: data.draw(st.sampled_from((1, -1))) for e in edges}
+    if edges and data.draw(st.booleans()):
+        del signs[data.draw(st.sampled_from(edges))]
+    signs = SignAssignment(signs)
+    assert _value_or_error(lambda: build_companion(form, signs).C.entries) == \
+        _value_or_error(lambda: reference_companion(rows, signs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(companion_grids())
+def test_companion_checks_match_dense_reference(rows):
+    expected = reference_companion_error(rows)
+    if expected is None:
+        QuasiCartanCompanion(SquareIntMatrix.from_rows(rows))
+        return
+    with pytest.raises(ValueError) as err:
+        QuasiCartanCompanion(SquareIntMatrix.from_rows(rows))
+    assert str(err.value) == expected
 
 
 def test_build_companion_requires_total_signs():

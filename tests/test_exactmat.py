@@ -11,24 +11,30 @@ from finitype import (
     SquareIntMatrix,
     compute_skew_symmetrizer,
     decide_matrix,
-    determinant,
     first_nonpositive_minor,
-    is_positive,
     leading_principal_minors,
 )
+from finitype.exactmat import _pivots
 
 from helpers import (
     a_path,
     cofactor_det,
     cofactor_leading_minors,
     d_fork,
+    determinant,
     fraction_gauss_det,
     fraction_symmetrizer,
     identity,
+    is_positive,
     is_skew_symmetric_by_signs,
     mutation_walk,
+    perturbed_skew_grids,
     random_skew_rows,
+    reference_pivots,
+    reference_skew_form_error,
+    reference_skew_symmetrizer,
     relabel,
+    square_grids,
 )
 
 
@@ -385,3 +391,57 @@ def test_skew_form_dxb_exactly_skew():
         for i in range(n):
             for j in range(n):
                 assert d[i] * b[i][j] == -d[j] * b[j][i]
+
+
+# ---------------------------------------------------------------------------
+# the sparse stages against their frozen dense references (tests/helpers.py)
+
+def test_sparse_rows_hold_only_nonzero_entries():
+    matrix = M([[0, 5, 0], [-5, 0, 0], [0, 0, 0]])
+    assert matrix.rows == (((1, 5),), ((0, -5),), ())
+    assert matrix == SquareIntMatrix(3, matrix.rows)
+    assert matrix.columns() == [[(1, -5)], [(0, 5)], []]
+    for rows in ([((0, 0),)], [((1, 1),)], [((0, 1), (0, 2))], [((-1, 1),)], [(), ()]):
+        with pytest.raises(ValueError):
+            SquareIntMatrix(1, tuple(rows))
+    with pytest.raises(ValueError, match="n-by-n grid"):
+        M([[0, 1], [0]])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotSkewSymmetrizableError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_skew_grids())
+def test_symmetrizer_matches_dense_reference(rows):
+    # the same D, or the same message: the D*B error names the first bad
+    # pair in row-major order
+    matrix = M(rows)
+    assert matrix.entries == tuple(map(tuple, rows))
+    assert _outcome(lambda: compute_skew_symmetrizer(matrix).D.d) == \
+        _outcome(lambda: reference_skew_symmetrizer(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_skew_grids(), st.data())
+def test_skew_form_check_matches_dense_reference(rows, data):
+    d = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    d = tuple(v // gcd(*d) for v in d)
+    try:
+        SkewForm(M(rows), DiagonalRational(d))
+        error = None
+    except NotSkewSymmetrizableError as err:
+        error = str(err)
+    assert error == reference_skew_form_error(rows, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_grids())
+def test_pivots_match_dense_reference_at_every_block_size(rows):
+    matrix = M(rows)
+    for size in range(len(rows) + 1):
+        assert list(_pivots(matrix, size)) == reference_pivots(rows, size)

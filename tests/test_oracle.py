@@ -14,7 +14,6 @@ from finitype import (
     compute_skew_symmetrizer,
     decide_matrix,
     explore_mutation_class,
-    is_positive,
     mutate,
 )
 
@@ -26,6 +25,7 @@ from helpers import (
     from_arcs,
     affine_g2_arcs,
     g2,
+    is_positive,
     markov,
     random_skew_rows,
     definition_mutation,

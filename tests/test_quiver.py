@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from finitype import (
     ComponentKind,
@@ -25,7 +26,9 @@ from helpers import (
     cyclic_triangle,
     from_arcs,
     markov,
+    perturbed_skew_grids,
     random_cyclically_oriented_arcs,
+    reference_quiver,
     walk_is_cyclically_oriented,
 )
 
@@ -47,6 +50,14 @@ def test_build_quiver_single_arc():
 def test_build_quiver_path():
     g = quiver_of(SquareIntMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]))
     assert g.arcs == {(0, 1): 1, (1, 2): 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_skew_grids(max_breaks=0))
+def test_build_quiver_matches_dense_reference(rows):
+    # the same arcs, inserted in the same order, and the same neighbour lists
+    g = quiver_of(SquareIntMatrix.from_rows(rows))
+    assert (list(g.arcs.items()), g.neighbors) == reference_quiver(rows)
 
 
 def test_build_quiver_markov():
