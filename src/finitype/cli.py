@@ -70,6 +70,21 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _ROW_CHARS = str.maketrans("", "", "0123456789- \t")  # deletes every character a row may hold
 
 
+def _integer(text: str) -> int:
+    """``text`` as an int when it is spelled as the document grammar spells one.
+
+    The one converter of the integer options and ``FINITYPE_ORACLE_LIMIT``:
+    int() alone also takes a '+' sign, '_' separators, surrounding
+    whitespace and non-ASCII digits.
+    """
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than the digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class MatrixParseError(ValueError):
     """Malformed matrix document."""
 
@@ -321,8 +336,8 @@ def _oracle_limit(args) -> int:
         if raw is None:
             return DEFAULT_CLASS_LIMIT
         try:
-            limit = int(raw)
-        except ValueError:
+            limit = _integer(raw)
+        except argparse.ArgumentTypeError:
             raise InputError(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}") from None
     if limit <= 0:
         raise InputError("limit must be positive")
@@ -412,11 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add("cycles", _cmd_cycles, "enumerate chordless cycles and single edges")
     add("companion", _cmd_companion, "build the sign-condition companion and test positivity")
     p_mut = add("mutate", _cmd_mutate, "apply one matrix mutation and print the result")
-    p_mut.add_argument("-k", type=int, required=True, help="mutation direction (1-based)")
+    p_mut.add_argument("-k", type=_integer, required=True, help="mutation direction (1-based)")
     p_ora = add("oracle", _cmd_oracle, "explore the mutation class (bounded-entry check)")
-    p_ora.add_argument("--limit", type=int, default=None, help="visited-matrix cap")
+    p_ora.add_argument("--limit", type=_integer, default=None, help="visited-matrix cap")
     p_cmp = add("compare", _cmd_compare, "run decide plus both oracles and report agreement")
-    p_cmp.add_argument("--limit", type=int, default=None, help="visited-matrix cap")
+    p_cmp.add_argument("--limit", type=_integer, default=None, help="visited-matrix cap")
     return parser
 
 

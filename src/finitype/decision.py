@@ -18,7 +18,6 @@ from .exactmat import (
     SkewForm,
     SquareIntMatrix,
     compute_skew_symmetrizer,
-    first_nonpositive_minor,
     leading_principal_minors,
 )
 from .quiver import (
@@ -77,10 +76,10 @@ def positive_companion_exists(
     principal minor.
     """
     companion = build_companion(form, assign_signs(g, inventory))
-    bad = first_nonpositive_minor(companion.C)
-    if bad is None:
-        return Certificate(inventory, companion, tuple(leading_principal_minors(companion.C)))
-    return CompanionNotPositive(bad[0], bad[1], companion)
+    minors = leading_principal_minors(companion.C)
+    if minors and minors[-1] <= 0:
+        return CompanionNotPositive(len(minors), minors[-1], companion)
+    return Certificate(inventory, companion, tuple(minors))
 
 
 def decide_matrix(matrix: SquareIntMatrix) -> Decision:

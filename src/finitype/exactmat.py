@@ -15,37 +15,32 @@ per call in O(n + m).  The dense grid, ``entries``, is built only when
 something reads it, and not kept; ``from_rows`` is the one place that scans
 an n-by-n grid.
 
-One routine, ``_pivots``, does all elimination: fraction-free (Bareiss)
-steps over sparse rows of a leading block.  Its k-th value is the k-th
-leading minor of the block.  On a zero pivot it swaps in the first lower
-row with a nonzero in that column, negated, which keeps the determinant, so
-every later value is still a leading minor of the modified block and the
-last one is the determinant; with no such row the block is singular and the
-routine stops after the zero.  Values up to and including the first zero
-are therefore the leading minors of the matrix itself.
+One routine, ``leading_principal_minors``, does all elimination:
+fraction-free (Bareiss) steps over the matrix's sparse rows, whose k-th
+pivot is the k-th leading minor.  It stops at the first pivot <= 0, all
+that Sylvester's criterion reads, so every divisor is an earlier, positive
+pivot.
 
 Step k of Bareiss elimination replaces each lower row by
-(p_k * a_ij - a_ik * a_kj) / p_{k-1}, with p_k the pivot of step k (the
-swapped-in one after a zero) and p_{-1} = 1.  A row with a_ik = 0 is only
-multiplied by p_k / p_{k-1}, so ``_pivots`` keeps a column index of the
-lower rows with a nonzero in each column and updates only those: on a
-path a step is O(1) work instead of O(n).  A row skipped from step s
-through step k - 1 still holds its step-s values, and the product of its
-skipped factors telescopes to p_{k-1} / p_{s-1}.  Every entry after any
-number of steps is a minor of the row-swapped matrix (Sylvester's
-identity, Bareiss 1968), hence an integer.  So multiplying a stale row by
-p_{k-1} and dividing by p_{s-1} is exact, and so is updating it at step k
-straight from its step-s values by (p_k * a_ij - a_ik * a_kj) / p_{s-1}.
+(p_k * a_ij - a_ik * a_kj) / p_{k-1}, with p_k the pivot of step k and
+p_{-1} = 1.  A row with a_ik = 0 is only multiplied by p_k / p_{k-1}, so
+the routine keeps a column index of the lower rows with a nonzero in each
+column and updates only those: on a path a step is O(1) work instead of
+O(n).  A row skipped from step s through step k - 1 still holds its step-s
+values, and the product of its skipped factors telescopes to
+p_{k-1} / p_{s-1}.  Every entry after any number of steps is a minor of
+the matrix (Sylvester's identity, Bareiss 1968), hence an integer.  So
+multiplying a stale row by p_{k-1} and dividing by p_{s-1} is exact, and
+so is updating it at step k straight from its step-s values by
+(p_k * a_ij - a_ik * a_kj) / p_{s-1}.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Row = tuple[tuple[int, int], ...]  # (column, value) pairs of the nonzero entries, ascending
 
@@ -210,47 +205,38 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
     return SkewForm(B, DiagonalRational(tuple(v // g for v in d)))
 
 
-def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
-    """Fraction-free elimination pivots of the leading size-by-size block.
+def leading_principal_minors(M: SquareIntMatrix) -> list[int]:
+    """det(M[:k, :k]) for k = 1, 2, ... up to and including the first one <= 0, exactly.
 
-    Rows are {column: value} dicts of the matrix's nonzero pairs left of
-    column ``size``.  ``below[j]`` holds the lower rows with a nonzero in
-    column j, kept current on fill and cancellation, and step k updates
-    only the rows in ``below[k]``.  Row i
-    holds the values of step ``stamp[i]``, and ``scale[k]`` is p_{k-1},
-    the divisor of step k.  A stale row is brought up to date only when it
-    is used: as the pivot row or the row swapped in, it is multiplied by
-    scale[k] / scale[stamp[i]]; as a row to update, its Bareiss step
+    With no minor <= 0 the list holds all n of them.  Rows are
+    {column: value} dicts of the matrix's nonzero pairs.  ``below[j]``
+    holds the lower rows with a nonzero in column j, kept current on fill
+    and cancellation, and step k updates only the rows in ``below[k]``.
+    Row i holds the values of step ``stamp[i]``, and ``scale[k]`` is
+    p_{k-1}, the divisor of step k.  A stale row is brought up to date
+    only when it is used: as the pivot row, it is multiplied by
+    scale[k] / scale[stamp[k]]; as a row to update, its Bareiss step
     divides by scale[stamp[i]] instead of scale[k].  The module docstring
-    says why both divisions are exact, what the values are and the
-    zero-pivot rule.
+    says why both divisions are exact.
     """
-    rows = [dict(row[:bisect_left(row, size, key=itemgetter(0))]) for row in M.rows[:size]]
-    below: list[set[int]] = [set() for _ in range(size)]
+    rows = [dict(row) for row in M.rows]
+    below: list[set[int]] = [set() for _ in range(M.n)]
     for i, row in enumerate(rows):
         for j in row:
             below[j].add(i)
+    minors: list[int] = []
     scale = [1]
-    stamp = [0] * size
-    for k in range(size):
-        prev = scale[k]
-        pivot_row = _current(rows[k], prev, scale[stamp[k]])
+    stamp = [0] * M.n
+    for k in range(M.n):
+        pivot_row, prev, held = rows[k], scale[k], scale[stamp[k]]
+        if prev != held:
+            pivot_row = {j: v * prev // held for j, v in pivot_row.items()}
+        p = pivot_row.get(k, 0)
+        minors.append(p)
+        if p <= 0:
+            break
         for j in pivot_row:
             below[j].discard(k)
-        p = pivot_row.get(k, 0)
-        yield p
-        if p == 0:
-            if not below[k]:
-                return
-            swap = min(below[k])
-            swapped = _current(rows[swap], -prev, scale[stamp[swap]])
-            for j in swapped:
-                below[j].discard(swap)
-            for j in pivot_row:
-                below[j].add(swap)
-            rows[swap], stamp[swap] = pivot_row, k
-            pivot_row = swapped
-            p = pivot_row[k]
         rest = [(j, w) for j, w in pivot_row.items() if j != k]
         for i in below[k]:
             ri = rows[i]
@@ -271,35 +257,6 @@ def _pivots(M: SquareIntMatrix, size: int) -> Iterator[int]:
             rows[i] = {j: v // divisor for j, v in merged.items()}
             stamp[i] = k + 1
         scale.append(p)
-
-
-def _current(row: dict[int, int], num: int, den: int) -> dict[int, int]:
-    """Row values times num / den, exactly; the row itself when that is 1."""
-    if num == den:
-        return row
-    return {j: v * num // den for j, v in row.items()}
-
-
-def _block_determinant(M: SquareIntMatrix, size: int) -> int:
-    det = 1
-    for det in _pivots(M, size):
-        pass
-    return det
-
-
-def leading_principal_minors(M: SquareIntMatrix) -> list[int]:
-    """det(M[:k, :k]) for k = 1..n, exactly.
-
-    One elimination pass covers everything up to and including the first
-    zero minor; each minor past it comes from a fresh pass over its own
-    block (rare, and only hit by singular leading blocks).
-    """
-    minors: list[int] = []
-    for p in _pivots(M, M.n):
-        minors.append(p)
-        if p == 0:
-            break
-    minors.extend(_block_determinant(M, k) for k in range(len(minors) + 1, M.n + 1))
     return minors
 
 
@@ -308,7 +265,7 @@ def first_nonpositive_minor(M: SquareIntMatrix) -> Optional[tuple[int, int]]:
 
     k counts block size, so it is 1-based by nature.
     """
-    for k, p in enumerate(_pivots(M, M.n), start=1):
-        if p <= 0:
-            return k, p
+    minors = leading_principal_minors(M)
+    if minors and minors[-1] <= 0:
+        return len(minors), minors[-1]
     return None

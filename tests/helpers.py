@@ -22,7 +22,6 @@ from finitype import (
     SquareIntMatrix,
     first_nonpositive_minor,
 )
-from finitype.exactmat import _pivots
 from finitype.oracle import ClassStatus, LargeEntry, MutationClassReport
 
 
@@ -52,6 +51,16 @@ def cofactor_det(rows) -> int:
 
 def cofactor_leading_minors(rows) -> list[int]:
     return [cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def through_first_nonpositive(values) -> list[int]:
+    """``values`` up to and including the first one <= 0: what Sylvester's criterion reads."""
+    out = []
+    for v in values:
+        out.append(v)
+        if v <= 0:
+            break
+    return out
 
 
 def fraction_gauss_det(rows) -> Fraction:
@@ -402,14 +411,6 @@ def reference_pivots(rows, size: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # predicates and wrappers the library does not need
-
-def determinant(matrix: SquareIntMatrix) -> int:
-    """Exact determinant: the last value of one elimination pass; the empty matrix has 1."""
-    det = 1
-    for det in _pivots(matrix, matrix.n):
-        pass
-    return det
-
 
 def is_positive(matrix: SquareIntMatrix) -> bool:
     """Sylvester criterion: every leading principal minor strictly positive.

@@ -189,6 +189,12 @@ def test_mutate_output_reads_back_while_its_entries_fit_the_read_limit(capsys, t
 def test_mutate_bad_index(capsys):
     assert run_command(["mutate", path("a3path.mat"), "-k", "4"]) == 2
     assert run_command(["mutate", path("a3path.mat"), "-k", "0"]) == 2
+    # -k is spelled as the document grammar spells an integer: ASCII -?[0-9]+
+    for k in ("+1", "\u0662", "0_1", " 1", "1.0"):
+        assert run_command(["mutate", path("a3path.mat"), "-k", k]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+    assert run_command(["mutate", path("a3path.mat"), "-k", "-1"]) == 2
+    assert run_command(["mutate", path("a3path.mat"), "-k", "01"]) == 0
 
 
 def test_cycles_text(capsys):
@@ -242,14 +248,23 @@ def test_oracle_env_limit(capsys, monkeypatch):
     monkeypatch.setenv(ORACLE_LIMIT_ENV, "50")
     assert run_command(["oracle", path("a3path.mat")]) == 0
     capsys.readouterr()
-    monkeypatch.setenv(ORACLE_LIMIT_ENV, "zonk")
-    assert run_command(["oracle", path("a3path.mat")]) == 2
+    for raw in ("zonk", "1_0", "+50", "\u0665\u0660", " 50"):
+        monkeypatch.setenv(ORACLE_LIMIT_ENV, raw)
+        assert run_command(["oracle", path("a3path.mat")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {ORACLE_LIMIT_ENV} must be an integer, got {raw!r}\n"
 
 
 def test_oracle_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv(ORACLE_LIMIT_ENV, "2")
     assert run_command(["oracle", path("a3path.mat"), "--limit", "50"]) == 0
     capsys.readouterr()
+    # a flag that is not ASCII -?[0-9]+ is refused, not replaced by the variable
+    for command in ("oracle", "compare"):
+        for limit in ("\u0663", "1_0", "+5", "5 "):
+            assert run_command([command, path("a3path.mat"), "--limit", limit]) == 2
+            assert "invalid int value" in capsys.readouterr().err
+    assert run_command(["oracle", path("a3path.mat"), "--limit", "050"]) == 0
 
 
 # ---------------------------------------------------------------------------

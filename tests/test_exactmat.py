@@ -1,9 +1,11 @@
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finitype.decision as decision_module
 from finitype import (
     DiagonalRational,
     NotSkewSymmetrizableError,
@@ -14,14 +16,12 @@ from finitype import (
     first_nonpositive_minor,
     leading_principal_minors,
 )
-from finitype.exactmat import _pivots
+from finitype.cli import parse_matrix
 
 from helpers import (
     a_path,
-    cofactor_det,
     cofactor_leading_minors,
     d_fork,
-    determinant,
     fraction_gauss_det,
     fraction_symmetrizer,
     identity,
@@ -35,6 +35,7 @@ from helpers import (
     reference_skew_symmetrizer,
     relabel,
     square_grids,
+    through_first_nonpositive,
 )
 
 
@@ -195,10 +196,13 @@ def test_minors_examples():
     assert leading_principal_minors(M([[2, 2], [2, 2]])) == [2, 0]
 
 
-def test_minors_continue_past_zero_pivot():
-    assert leading_principal_minors(M([[0, 1], [1, 0]])) == [0, -1]
-    rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-    assert leading_principal_minors(M(rows)) == cofactor_leading_minors(rows)
+def test_minors_stop_at_first_nonpositive():
+    assert leading_principal_minors(M([[0, 1], [1, 0]])) == [0]
+    assert leading_principal_minors(M([[0, 1, 2], [1, 0, 3], [2, 3, 0]])) == [0]
+    # a negative stop: the minor after it would be positive again
+    rows = [[1, 2, 0], [2, 1, 0], [0, 0, -1]]
+    assert cofactor_leading_minors(rows) == [1, -3, 3]
+    assert leading_principal_minors(M(rows)) == [1, -3]
 
 
 def test_minors_empty():
@@ -210,15 +214,8 @@ def test_minors_match_cofactor_randomized():
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert leading_principal_minors(M(rows)) == cofactor_leading_minors(rows)
-
-
-def test_determinant_matches_cofactor_randomized():
-    rng = random.Random(2468)
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert determinant(M(rows)) == cofactor_det(rows)
+        assert leading_principal_minors(M(rows)) == \
+            through_first_nonpositive(cofactor_leading_minors(rows))
 
 
 def test_is_positive_examples():
@@ -245,43 +242,9 @@ def test_first_nonpositive_consistent_with_minors_across_sizes():
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             rows[i][i] = rng.randint(0, 3)
-        mat = M(rows)
-        minors = leading_principal_minors(mat)
-        expected = next(((k + 1, m) for k, m in enumerate(minors) if m <= 0), None)
-        assert first_nonpositive_minor(mat) == expected
-
-
-def _zero_pivot_at(rng, n: int, k: int) -> list[list[int]]:
-    """Random n x n rows whose leading k x k block is singular (rows k-2 and k-1 agree on it)."""
-    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.randint(1, 4)
-    rows[k - 1][:k] = rows[k - 2][:k]
-    return rows
-
-
-def test_minors_and_determinant_past_zero_pivot_large():
-    rng = random.Random(4040)
-    for _ in range(3):
-        n = 40
-        rows = _zero_pivot_at(rng, n, 20)
-        minors = leading_principal_minors(M(rows))
-        expected = [fraction_gauss_det([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
-        assert minors == expected
-        assert minors[19] == 0 and minors[-1] != 0
-        assert determinant(M(rows)) == expected[-1]
-        assert first_nonpositive_minor(M(rows)) == next(
-            (k + 1, m) for k, m in enumerate(minors) if m <= 0
-        )
-
-
-def test_determinant_zero_column_below_pivot():
-    # column 19 is zero from row 19 down after elimination: singular, no row to swap in
-    rng = random.Random(4141)
-    rows = _zero_pivot_at(rng, 40, 20)
-    for i in range(19, 40):
-        rows[i][:20] = rows[18][:20]
-    assert determinant(M(rows)) == 0 == fraction_gauss_det(rows)
+        minors = through_first_nonpositive(reference_pivots(rows, n))
+        expected = (len(minors), minors[-1]) if minors[-1] <= 0 else None
+        assert first_nonpositive_minor(M(rows)) == expected
 
 
 @st.composite
@@ -304,11 +267,11 @@ def small_square_rows(draw):
 @given(small_square_rows())
 def test_elimination_matches_cofactor_expansion(rows):
     mat = M(rows)
-    minors = cofactor_leading_minors(rows)
-    assert leading_principal_minors(mat) == minors
-    assert determinant(mat) == cofactor_det(rows)
-    assert first_nonpositive_minor(mat) == next(
-        ((k + 1, m) for k, m in enumerate(minors) if m <= 0), None
+    minors = through_first_nonpositive(cofactor_leading_minors(rows))
+    assert leading_principal_minors(mat) == minors == \
+        through_first_nonpositive(reference_pivots(rows, len(rows)))
+    assert first_nonpositive_minor(mat) == (
+        (len(minors), minors[-1]) if minors and minors[-1] <= 0 else None
     )
 
 
@@ -328,14 +291,13 @@ def test_stale_row_used_as_pivot_row():
     minors = cofactor_leading_minors(rows)
     assert minors == [2, 6, 10, 14, 28, 49, 149]
     assert leading_principal_minors(M(rows)) == minors
-    assert determinant(M(rows)) == 149
     assert first_nonpositive_minor(M(rows)) is None
 
 
-def test_stale_row_swapped_in_on_zero_pivot():
-    # row 3 is zero in columns 0..3: the 4th minor is 0 and row 4, skipped
-    # by steps 0..2 (pivots 2, 6, 10), is swapped in and scaled by -10; the
-    # old row 3 moves down and is the next pivot row
+def test_stale_row_stops_at_zero_pivot():
+    # row 3 is zero in columns 0..3, so steps 0..2 (pivots 2, 6, 10) skip it
+    # and step 3 scales it by 10 to find a zero pivot: the pass stops there
+    # with the 4th minor, though the 5th would be nonzero
     rows = [
         [2, 0, 0, 0, 0, 1],
         [0, 3, 1, 0, 1, 0],
@@ -344,10 +306,8 @@ def test_stale_row_swapped_in_on_zero_pivot():
         [0, 0, 0, 2, 1, 1],
         [1, 0, 0, 1, 0, 2],
     ]
-    minors = cofactor_leading_minors(rows)
-    assert minors[:4] == [2, 6, 10, 0]
-    assert leading_principal_minors(M(rows)) == minors
-    assert determinant(M(rows)) == cofactor_det(rows) == -20
+    assert cofactor_leading_minors(rows)[:5] == [2, 6, 10, 0, -20]
+    assert leading_principal_minors(M(rows)) == [2, 6, 10, 0]
     assert first_nonpositive_minor(M(rows)) == (4, 0)
 
 
@@ -367,6 +327,23 @@ def test_companion_minors_at_n_200(kind):
     minors = decision.certificate.minors
     for k in [1, 2, 3, 4, 5, *range(25, n, 25), n]:
         assert minors[k - 1] == fraction_gauss_det([row[:k] for row in rows[:k]])
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("D5", d_fork(5)),
+    ("markov", parse_matrix((Path(__file__).parent / "data" / "markov.mat").read_text())),
+])
+def test_decide_matrix_eliminates_once(monkeypatch, name, matrix):
+    # one pass gives the verdict and, on success, every minor of the certificate
+    calls = []
+    for fn in (leading_principal_minors, first_nonpositive_minor):
+        def counted(C, fn=fn):
+            calls.append(fn.__name__)
+            return fn(C)
+        monkeypatch.setattr(decision_module, fn.__name__, counted, raising=False)
+    decision = decide_matrix(matrix)
+    assert decision.finite == (name == "D5")
+    assert len(calls) == 1
 
 
 def test_is_positive_sign_flip_invariance():
@@ -442,6 +419,9 @@ def test_skew_form_check_matches_dense_reference(rows, data):
 @settings(max_examples=200, deadline=None)
 @given(square_grids())
 def test_pivots_match_dense_reference_at_every_block_size(rows):
-    matrix = M(rows)
+    minors = through_first_nonpositive(cofactor_leading_minors(rows))
+    assert leading_principal_minors(M(rows)) == minors
     for size in range(len(rows) + 1):
-        assert list(_pivots(matrix, size)) == reference_pivots(rows, size)
+        block = M([row[:size] for row in rows[:size]])
+        assert leading_principal_minors(block) == \
+            through_first_nonpositive(reference_pivots(rows, size))
