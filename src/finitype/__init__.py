@@ -8,13 +8,8 @@ exploration and exhaustive companion search) are included for
 cross-validation on small instances.
 """
 
-from .cli import MatrixParseError, decide, format_matrix, parse_matrix, run_command
-from .companion import (
-    QuasiCartanCompanion,
-    SignAssignment,
-    assign_signs,
-    build_companion,
-)
+from .cli import MatrixParseError, format_matrix, parse_matrix, run_command
+from .companion import QuasiCartanCompanion, assign_signs, build_companion
 from .decision import (
     Certificate,
     CompanionNotPositive,
@@ -41,7 +36,6 @@ from .oracle import (
 )
 from .quiver import (
     ChordlessCycle,
-    ComponentKind,
     CycleInventory,
     EdgeBoundExceeded,
     NonCyclicCycle,
@@ -60,7 +54,6 @@ __all__ = [
     "Certificate",
     "ChordlessCycle",
     "CompanionNotPositive",
-    "ComponentKind",
     "CycleInventory",
     "Decision",
     "DiagonalRational",
@@ -72,7 +65,6 @@ __all__ = [
     "NotSkewSymmetrizableError",
     "QuasiCartanCompanion",
     "Quiver",
-    "SignAssignment",
     "SkewForm",
     "SquareIntMatrix",
     "StructuralFailure",
@@ -85,7 +77,6 @@ __all__ = [
     "build_quiver",
     "chordless_cycles_cod",
     "compute_skew_symmetrizer",
-    "decide",
     "decide_matrix",
     "explore_mutation_class",
     "first_nonpositive_minor",

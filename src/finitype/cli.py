@@ -33,7 +33,7 @@ from itertools import compress, repeat
 from operator import ne
 from typing import Optional, Sequence
 
-from .decision import Certificate, CompanionNotPositive, Decision, Reason, decide_matrix
+from .decision import Certificate, CompanionNotPositive, Reason, decide_matrix
 from .exactmat import (
     NotSkewSymmetrizableError,
     SquareIntMatrix,
@@ -146,11 +146,6 @@ def format_matrix(matrix: SquareIntMatrix) -> str:
     lines = [str(matrix.n)]
     lines.extend(" ".join(str(v) for v in row) for row in matrix.entries)
     return "\n".join(lines) + "\n"
-
-
-def decide(document: str) -> Decision:
-    """Finite-type decision for a matrix document."""
-    return decide_matrix(parse_matrix(document))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +544,15 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    try:
+        code = run_command()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: stdout goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

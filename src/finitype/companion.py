@@ -18,31 +18,23 @@ from .exactmat import SMALL_PAIRS, SkewForm, SquareIntMatrix
 from .quiver import CycleInventory, Quiver, edge_key
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """Map from undirected edges to +1/-1; a missing edge reads as 0 (undefined)."""
-
-    signs: dict[tuple[int, int], int]
-
-    def sign(self, u: int, v: int) -> int:
-        return self.signs.get(edge_key(u, v), 0)
-
-
-def assign_signs(g: Quiver, inventory: CycleInventory) -> SignAssignment:
+def assign_signs(g: Quiver, inventory: CycleInventory) -> dict[tuple[int, int], int]:
     """Choose edge signs so the sign condition holds on every chordless cycle.
 
-    Single-edge components get +1.  Cycles are consumed from the stack in
-    LIFO order; within a cycle of length t the first undefined edge is
-    deferred, every other undefined edge gets +1, and the deferred edge
-    receives (-1)^(t+1) times the product of the already-defined signs,
-    which makes the edge-sign product around the cycle equal (-1)^(t+1)
-    and hence the product of (-c_ij) equal -1 times a positive number.
+    Returns +1 or -1 per edge, keyed by ``edge_key``.  Single-edge
+    components get +1.  Cycles are consumed from the inventory's stack in
+    LIFO order, last discovered first; within a cycle of length t the first
+    undefined edge is deferred, every other undefined edge gets +1, and the
+    deferred edge receives (-1)^(t+1) times the product of the
+    already-defined signs, which makes the edge-sign product around the
+    cycle equal (-1)^(t+1) and hence the product of (-c_ij) equal -1 times
+    a positive number.
 
     Raises ValueError when a popped cycle has every edge already signed,
     as happens when the inventory lists a cycle twice.
     """
     signs: dict[tuple[int, int], int] = {edge: 1 for edge in inventory.single_edges}
-    for cycle in inventory.popped():
+    for cycle in reversed(inventory.cycles):
         verts = cycle.vertices
         t = len(verts)
         prod = 1
@@ -59,7 +51,7 @@ def assign_signs(g: Quiver, inventory: CycleInventory) -> SignAssignment:
         if deferred is None:
             raise ValueError("popped cycle has every edge already signed")
         signs[deferred] = (-1) ** (t + 1) * prod
-    return SignAssignment(signs)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -78,13 +70,9 @@ class QuasiCartanCompanion:
                 if v * partner.get(j, 0) <= 0:
                     raise ValueError("companion must be symmetric by signs")
 
-    @property
-    def n(self) -> int:
-        return self.C.n
 
-
-def build_companion(form: SkewForm, signs: SignAssignment) -> QuasiCartanCompanion:
-    """c_ii = 2 and c_ij = sign(i, j) * |b_ij|; signs must cover every edge of G(B).
+def build_companion(form: SkewForm, signs: dict[tuple[int, int], int]) -> QuasiCartanCompanion:
+    """c_ii = 2 and c_ij = signs[edge_key(i, j)] * |b_ij|; signs must cover every edge of G(B).
 
     Only the nonzero entries of B are visited, and C is stored the same
     way: each row of B's pairs with its sign applied and (i, 2) put in
@@ -97,7 +85,7 @@ def build_companion(form: SkewForm, signs: SignAssignment) -> QuasiCartanCompani
     for i, b_row in enumerate(form.B.rows):
         row = []
         for j, v in b_row:
-            s = signs.sign(i, j)
+            s = signs.get(edge_key(i, j), 0)
             if s == 0:
                 raise ValueError(f"no sign assigned to edge ({i}, {j})")
             pair = (j, s * abs(v))

@@ -212,9 +212,7 @@ def _spanning_forest(n: int, arcs: list[tuple[int, int]]) -> set[tuple[int, int]
     return forest
 
 
-def brute_force_positive_companion(
-    form: SkewForm, arc_cap: int = DEFAULT_ARC_CAP
-) -> Optional[QuasiCartanCompanion]:
+def brute_force_positive_companion(form: SkewForm) -> Optional[QuasiCartanCompanion]:
     """Search the sign patterns over the m arcs; return the first positive companion.
 
     Arcs are ordered by index pair.  The arcs of the spanning forest that
@@ -223,12 +221,13 @@ def brute_force_positive_companion(
     components) are enumerated with +1 before -1 each, the earliest arc
     varying slowest.  So the companion returned is the first positive one
     in that order, for example the all-positive companion when it is
-    positive.  Raises CapExceededError when m exceeds ``arc_cap``.
+    positive.  Raises CapExceededError when m exceeds ``DEFAULT_ARC_CAP``,
+    read at call time.
     """
     n, b = form.n, form.B.entries
     arcs = sorted((i, j) for i in range(n) for j in range(i + 1, n) if b[i][j] != 0)
-    if len(arcs) > arc_cap:
-        raise CapExceededError(f"{len(arcs)} arcs exceed the cap of {arc_cap}")
+    if len(arcs) > DEFAULT_ARC_CAP:
+        raise CapExceededError(f"{len(arcs)} arcs exceed the cap of {DEFAULT_ARC_CAP}")
     forest = _spanning_forest(n, arcs)
     free = [arc for arc in arcs if arc not in forest]
     base = [[2 if i == j else abs(b[i][j]) for j in range(n)] for i in range(n)]

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Union
 
 from .exactmat import SkewForm
 
@@ -37,9 +36,6 @@ class Quiver:
     n: int
     arcs: dict[tuple[int, int], int]
     neighbors: tuple[tuple[int, ...], ...]
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
 
     @property
     def edge_count(self) -> int:
@@ -68,16 +64,12 @@ def build_quiver(form: SkewForm) -> Quiver:
     return Quiver(form.n, arcs, neighbors)
 
 
-class ComponentKind(Enum):
-    SINGLE_EDGE = "single_edge"
-    CYCLIC = "cyclic"
-
-
 @dataclass(frozen=True)
 class TwoConnectedComponent:
+    """A single-edge component is one with one edge."""
+
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    kind: ComponentKind
 
 
 def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
@@ -87,16 +79,17 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
     and neighbor lists are scanned in ascending order and the result is
     sorted by smallest contained vertex, so the output is deterministic.
     Each frame records the edge-stack height at which its tree edge was
-    pushed, so a component is cut off the stack without searching it.
+    pushed, so a component is cut off the stack without searching it.  One
+    discovery numbering serves every root: numbers are compared only within
+    one depth-first tree.
     """
-    visited: set[int] = set()
+    discovery: dict[int, int] = {}
+    low: dict[int, int] = {}
     raw: list[list[tuple[int, int]]] = []
     for root in range(g.n):
-        if root in visited or not g.neighbors[root]:
+        if root in discovery or not g.neighbors[root]:
             continue
-        discovery = {root: 0}
-        low = {root: 0}
-        visited.add(root)
+        low[root] = discovery[root] = len(discovery)
         edge_stack: list[tuple[int, int]] = []
         stack = [(root, root, iter(g.neighbors[root]), 0)]
         while stack:
@@ -105,13 +98,12 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
             if child is not None:
                 if child == grandparent:
                     continue
-                if child in visited:
+                if child in discovery:
                     if discovery[child] <= discovery[parent]:  # back edge
                         low[parent] = min(low[parent], discovery[child])
                         edge_stack.append((parent, child))
                 else:
                     low[child] = discovery[child] = len(discovery)
-                    visited.add(child)
                     stack.append((parent, child, iter(g.neighbors[child]), len(edge_stack)))
                     edge_stack.append((parent, child))
                 continue
@@ -128,8 +120,7 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
     for group in raw:
         edges = sorted({edge_key(u, v) for u, v in group})
         vertices = sorted({v for e in edges for v in e})
-        kind = ComponentKind.SINGLE_EDGE if len(edges) == 1 else ComponentKind.CYCLIC
-        components.append(TwoConnectedComponent(tuple(vertices), tuple(edges), kind))
+        components.append(TwoConnectedComponent(tuple(vertices), tuple(edges)))
     components.sort(key=lambda c: c.vertices[0])
     return components
 
@@ -144,13 +135,6 @@ class ChordlessCycle:
     """
 
     vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> list[tuple[int, int]]:
-        t = len(self.vertices)
-        return [edge_key(self.vertices[i], self.vertices[(i + 1) % t]) for i in range(t)]
 
 
 @dataclass(frozen=True)
@@ -198,14 +182,9 @@ class CycleInventory:
     cycles: tuple[ChordlessCycle, ...]
     single_edges: frozenset[tuple[int, int]]
 
-    def popped(self) -> Iterable[ChordlessCycle]:
-        """Cycles in LIFO order, the order sign assignment consumes them."""
-        return reversed(self.cycles)
-
 
 def _canonical_undirected(walk: list[int]) -> tuple[int, ...]:
     """Rotate min-first, then head toward the smaller neighbor."""
-    t = len(walk)
     start = walk.index(min(walk))
     rotated = walk[start:] + walk[:start]
     if rotated[1] > rotated[-1]:
@@ -216,7 +195,7 @@ def _canonical_undirected(walk: list[int]) -> tuple[int, ...]:
 def _emit_cycle(g: Quiver, walk: list[int]) -> ChordlessCycle:
     """Canonicalize a closed walk, verifying it is cyclically oriented."""
     t = len(walk)
-    forward = sum(1 for i in range(t) if g.has_arc(walk[i], walk[(i + 1) % t]))
+    forward = sum(1 for i in range(t) if (walk[i], walk[(i + 1) % t]) in g.arcs)
     if forward != t and forward != 0:
         raise NotCyclicallyOrientedError(NonCyclicCycle(_canonical_undirected(walk)))
     ordered = walk if forward == t else walk[::-1]
@@ -308,7 +287,7 @@ def chordless_cycles_cod(g: Quiver) -> CycleInventory:
     cycles: list[ChordlessCycle] = []
     single_edges: set[tuple[int, int]] = set()
     for comp in two_connected_components(g):
-        if comp.kind is ComponentKind.SINGLE_EDGE:
+        if len(comp.edges) == 1:
             single_edges.add(comp.edges[0])
             continue
         nc, mc = len(comp.vertices), len(comp.edges)

@@ -20,7 +20,6 @@ from finitype import (
     build_quiver,
     chordless_cycles_cod,
     compute_skew_symmetrizer,
-    decide,
     decide_matrix,
     format_matrix,
     parse_matrix,
@@ -28,7 +27,7 @@ from finitype import (
 )
 from finitype.cli import ORACLE_LIMIT_ENV
 
-from helpers import from_arcs, random_cyclically_oriented_arcs
+from helpers import a_path, from_arcs, random_cyclically_oriented_arcs
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -113,12 +112,6 @@ def test_parse_entry_over_digit_limit():
 def test_format_round_trip():
     mat = SquareIntMatrix.from_rows([[0, 12, -3], [-12, 0, 1], [3, -1, 0]])
     assert parse_matrix(format_matrix(mat)) == mat
-
-
-def test_decide_document_wrapper():
-    assert decide("2\n0 1\n-1 0\n").finite
-    with pytest.raises(MatrixParseError):
-        decide("nope")
 
 
 def test_decide_trivial_dimensions(capsys, tmp_path):
@@ -436,7 +429,7 @@ def companion_json_checked(capsys, doc) -> dict:
     if report["cyclically_oriented"]:
         form = compute_skew_symmetrizer(parse_matrix(doc.read_text()))
         g = build_quiver(form)
-        signs = assign_signs(g, chordless_cycles_cod(g)).signs
+        signs = assign_signs(g, chordless_cycles_cod(g))
         assert report["signs"] == sorted([u + 1, v + 1, s] for (u, v), s in signs.items())
         assert report["positive"] is (code == 0)
     return report
@@ -501,6 +494,25 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     code = run_command(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert code == 0 and proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["decide", "--json"], ["companion"]])
+def test_closed_stdout_exits_2_without_traceback(argv, tmp_path):
+    # an n = 300 path's report is far larger than a pipe buffer, so writing
+    # it fails once the reader has closed the pipe after one byte
+    doc = tmp_path / "a300.mat"
+    doc.write_text(format_matrix(a_path(300)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finitype", argv[0], str(doc), *argv[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(finitype.__file__).resolve().parent.parent)},
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in stderr
+    assert stderr.startswith(b"error: ") and stderr.count(b"\n") == 1
 
 
 def test_reports_are_the_same_under_python_dash_O():

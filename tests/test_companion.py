@@ -14,7 +14,6 @@ from finitype import (
     CompanionNotPositive,
     CycleInventory,
     QuasiCartanCompanion,
-    SignAssignment,
     SquareIntMatrix,
     assign_signs,
     brute_force_positive_companion,
@@ -54,31 +53,26 @@ def pipeline(matrix: SquareIntMatrix):
 
 def test_single_edge_gets_plus_one():
     form, g, inv = pipeline(SquareIntMatrix.from_rows([[0, 1], [-1, 0]]))
-    signs = assign_signs(g, inv)
-    assert signs.sign(0, 1) == 1
-    assert signs.sign(1, 0) == 1
+    assert assign_signs(g, inv) == {(0, 1): 1}
 
 
 def test_triangle_signs_all_plus():
     form, g, inv = pipeline(cyclic_triangle())
-    signs = assign_signs(g, inv)
-    assert [signs.sign(0, 1), signs.sign(1, 2), signs.sign(0, 2)] == [1, 1, 1]
+    assert assign_signs(g, inv) == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
 
 
 def test_square_sign_minus_on_first_edge():
     form, g, inv = pipeline(cyclic_cycle(4))
-    signs = assign_signs(g, inv)
     # first-visited edge of the only cycle <0,1,2,3> carries the -1
-    assert signs.sign(0, 1) == -1
-    assert signs.sign(1, 2) == 1
-    assert signs.sign(2, 3) == 1
-    assert signs.sign(3, 0) == 1
+    assert assign_signs(g, inv) == {(0, 1): -1, (1, 2): 1, (2, 3): 1, (0, 3): 1}
 
 
 def test_undefined_sign_reads_zero():
+    # the signs are keyed by exactly the edges; build_companion reads a missing one as 0
     form, g, inv = pipeline(cyclic_triangle())
     signs = assign_signs(g, inv)
-    assert signs.sign(0, 9) == 0
+    assert sorted(signs) == sorted(edge_key(i, j) for i, j in g.arcs)
+    assert edge_key(0, 9) not in signs
     assert signs_total_on(signs, g)
 
 
@@ -121,7 +115,6 @@ def test_build_companion_matches_dense_reference(rows, data):
     signs = {e: data.draw(st.sampled_from((1, -1))) for e in edges}
     if edges and data.draw(st.booleans()):
         del signs[data.draw(st.sampled_from(edges))]
-    signs = SignAssignment(signs)
     assert _value_or_error(lambda: build_companion(form, signs).C.entries) == \
         _value_or_error(lambda: reference_companion(rows, signs))
 
@@ -141,7 +134,7 @@ def test_companion_checks_match_dense_reference(rows):
 def test_build_companion_requires_total_signs():
     form, g, inv = pipeline(cyclic_triangle())
     partial = assign_signs(g, inv)
-    partial.signs.pop((0, 1))
+    del partial[(0, 1)]
     with pytest.raises(ValueError):
         build_companion(form, partial)
 

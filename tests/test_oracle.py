@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import finitype.oracle
 from finitype import (
     CapExceededError,
     ClassStatus,
@@ -115,11 +116,12 @@ def test_brute_force_single_arc_lexicographic_first():
     assert companion.C.entries == ((2, 1), (1, 2))
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     form = form_of(a_path(22))   # 21 arcs
     with pytest.raises(CapExceededError):
         brute_force_positive_companion(form)
-    assert brute_force_positive_companion(form, arc_cap=21) is not None
+    monkeypatch.setattr(finitype.oracle, "DEFAULT_ARC_CAP", 21)
+    assert brute_force_positive_companion(form) is not None
 
 
 def test_brute_force_result_is_positive():

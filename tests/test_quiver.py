@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from finitype import (
-    ComponentKind,
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
@@ -67,24 +66,20 @@ def test_build_quiver_markov():
 
 def test_two_connected_path_is_two_single_edges():
     comps = two_connected_components(quiver_of(from_arcs(3, {(0, 1): 1, (1, 2): 1})))
-    assert [c.kind for c in comps] == [ComponentKind.SINGLE_EDGE] * 2
     assert [c.edges for c in comps] == [((0, 1),), ((1, 2),)]
 
 
 def test_two_connected_triangle_is_cyclic():
     comps = two_connected_components(quiver_of(cyclic_triangle()))
     assert len(comps) == 1
-    assert comps[0].kind is ComponentKind.CYCLIC
     assert comps[0].vertices == (0, 1, 2)
+    assert len(comps[0].edges) == 3
 
 
 def test_two_connected_triangle_plus_pendant():
     mat = from_arcs(4, {(0, 1): 1, (1, 2): 1, (2, 0): 1, (2, 3): 1})
     comps = two_connected_components(quiver_of(mat))
-    kinds = sorted(c.kind.value for c in comps)
-    assert kinds == ["cyclic", "single_edge"]
-    cyc = next(c for c in comps if c.kind is ComponentKind.CYCLIC)
-    assert cyc.vertices == (0, 1, 2)
+    assert [(c.vertices, len(c.edges)) for c in comps] == [((0, 1, 2), 3), ((2, 3), 1)]
 
 
 def test_two_connected_ignores_isolated_vertices():
@@ -103,7 +98,6 @@ def test_two_connected_long_path_is_linear():
     comps = two_connected_components(Quiver(n, arcs, neighbors))
     elapsed = time.perf_counter() - start
     assert [c.edges for c in comps] == [((i, i + 1),) for i in range(n - 1)]
-    assert all(c.kind is ComponentKind.SINGLE_EDGE for c in comps)
     assert elapsed < 2.0
 
 
@@ -228,7 +222,7 @@ def test_cod_rejects_one_flipped_cycle_arc():
             inv = inventory_of(mat)
         except NotCyclicallyOrientedError:
             raise AssertionError("generator must produce cyclically oriented quivers")
-        cycles = [c for c in inv.cycles if len(c) >= 4]
+        cycles = [c for c in inv.cycles if len(c.vertices) >= 4]
         if not cycles:
             continue
         # flipping one arc of a chordless 4+-cycle breaks its cyclic orientation
@@ -296,7 +290,10 @@ def _edge_components(cycles):
             x = parent[x]
         return x
 
-    edge_sets = [set(c.edges()) for c in cycles]
+    edge_sets = []
+    for c in cycles:
+        t = len(c.vertices)
+        edge_sets.append({frozenset((c.vertices[i], c.vertices[(i + 1) % t])) for i in range(t)})
     for i in range(len(cycles)):
         for j in range(i + 1, len(cycles)):
             if edge_sets[i] & edge_sets[j]:
@@ -316,7 +313,7 @@ def test_cod_lifo_freshness():
         if not inv.cycles:
             continue
         comp_of, edge_sets = _edge_components(inv.cycles)
-        order = list(inv.popped())
+        order = list(reversed(inv.cycles))
         index_of = {id(c): i for i, c in enumerate(inv.cycles)}
         seen_edges: dict[int, set] = {}
         seen_any: set[int] = set()
