@@ -16,7 +16,8 @@ vertices and indices are 1-based on the way in and out, 0-based internally.
 A ``--json`` report is exactly ``json.dumps(report, indent=2)``.  Its
 matrix-valued fields are rendered from their nonzero entries and spliced in,
 since the pure-Python encoder that ``indent`` selects would walk all n²
-entries.
+entries.  Every report, text or JSON, goes to stdout piece by piece, a
+matrix one row at a time, so no n² string is ever held whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from itertools import compress, repeat
 from operator import ne
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .decision import Certificate, CompanionNotPositive, Reason, decide_matrix
 from .exactmat import (
@@ -141,11 +142,35 @@ def parse_matrix(text: str) -> SquareIntMatrix:
     return SquareIntMatrix(n, tuple(rows))
 
 
+def _rendered_rows(matrix: SquareIntMatrix, sep: str) -> Iterator[str]:
+    """Each row of ``matrix`` as its n entries, each one after ``sep``.
+
+    A row is built from its nonzero pairs; every run of zeros is a slice of
+    one string of ``sep + "0"`` units, so the dense grid is never read.
+    """
+    unit = len(sep) + 1
+    zeros = (sep + "0") * matrix.n
+    for row in matrix.rows:
+        pieces = []
+        start = 0  # first column not rendered yet
+        for j, v in row:
+            pieces.append(zeros[: (j - start) * unit])
+            pieces.append(sep + str(v))
+            start = j + 1
+        pieces.append(zeros[: (matrix.n - start) * unit])
+        yield "".join(pieces)
+
+
+def _document_lines(matrix: SquareIntMatrix) -> Iterator[str]:
+    """The lines of ``matrix`` in the document format, each with its line feed."""
+    yield f"{matrix.n}\n"
+    for row in _rendered_rows(matrix, " "):
+        yield row[1:] + "\n"
+
+
 def format_matrix(matrix: SquareIntMatrix) -> str:
     """Render a matrix in the document format (re-parses to an equal matrix)."""
-    lines = [str(matrix.n)]
-    lines.extend(" ".join(str(v) for v in row) for row in matrix.entries)
-    return "\n".join(lines) + "\n"
+    return "".join(_document_lines(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +251,10 @@ def _class_report_text(report: MutationClassReport) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed document and returns
-# (exit_code, json payload, text lines); a payload holds matrices as
-# SquareIntMatrix, which only ``_report_json`` knows how to render
+# (exit_code, json payload, text lines); both hold matrices as
+# SquareIntMatrix, which only ``_emit`` renders
+
+_Outcome = tuple[int, dict, list[str | SquareIntMatrix]]
 
 def _load(path: str) -> SquareIntMatrix:
     try:
@@ -242,10 +269,11 @@ def _load(path: str) -> SquareIntMatrix:
         raise MatrixParseError(
             f"document is not valid UTF-8: {err.reason} at byte offset {err.start}"
         ) from None
+    del data  # else one more copy of the document while it is parsed
     return parse_matrix(text)
 
 
-def _cmd_decide(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_decide(args, matrix: SquareIntMatrix) -> _Outcome:
     decision = decide_matrix(matrix)
     payload: dict = {"verdict": decision.verdict, "reason": None, "certificate": None}
     if decision.finite:
@@ -261,13 +289,13 @@ def _cmd_decide(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
     return EXIT_NOT_FINITE, payload, [decision.verdict, "reason: " + _reason_text(decision.reason)]
 
 
-def _not_oriented(witness: Reason) -> tuple[int, dict, list[str]]:
+def _not_oriented(witness: Reason) -> _Outcome:
     payload = {"cyclically_oriented": False, "witness": _reason_json(witness)}
     lines = ["cyclically oriented: no", "witness: " + _reason_text(witness)]
     return EXIT_NOT_FINITE, payload, lines
 
 
-def _cmd_cycles(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_cycles(args, matrix: SquareIntMatrix) -> _Outcome:
     form = compute_skew_symmetrizer(matrix)
     g = build_quiver(form)
     try:
@@ -285,7 +313,7 @@ def _cmd_cycles(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
     return EXIT_FINITE, payload, lines
 
 
-def _cmd_companion(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_companion(args, matrix: SquareIntMatrix) -> _Outcome:
     decision = decide_matrix(matrix)
     result = decision.certificate if decision.finite else decision.reason
     if not isinstance(result, (Certificate, CompanionNotPositive)):
@@ -301,7 +329,7 @@ def _cmd_companion(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]
         "signs": signs,
         "positive": decision.finite,
     }
-    lines = [format_matrix(c).rstrip("\n")]
+    lines: list[str | SquareIntMatrix] = [c]
     if decision.finite:
         payload["minors"] = result.minors
         lines.append("# positive: yes")
@@ -314,13 +342,13 @@ def _cmd_companion(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]
     return EXIT_NOT_FINITE, payload, lines
 
 
-def _cmd_mutate(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_mutate(args, matrix: SquareIntMatrix) -> _Outcome:
     form = compute_skew_symmetrizer(matrix)
     if not 1 <= args.k <= form.n:
         raise InputError(f"mutation index {args.k} out of range 1..{form.n}")
     mutated = mutate(form, args.k - 1)
     payload = {"k": args.k, "matrix": mutated.B}
-    return EXIT_FINITE, payload, [format_matrix(mutated.B).rstrip("\n")]
+    return EXIT_FINITE, payload, [mutated.B]
 
 
 def _oracle_limit(args) -> int:
@@ -339,7 +367,7 @@ def _oracle_limit(args) -> int:
     return limit
 
 
-def _cmd_oracle(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_oracle(args, matrix: SquareIntMatrix) -> _Outcome:
     form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
     payload = _class_report_json(report)
@@ -351,7 +379,7 @@ def _cmd_oracle(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
     return EXIT_ERROR, payload, lines
 
 
-def _cmd_compare(args, matrix: SquareIntMatrix) -> tuple[int, dict, list[str]]:
+def _cmd_compare(args, matrix: SquareIntMatrix) -> _Outcome:
     decision = decide_matrix(matrix)
     form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
@@ -436,34 +464,26 @@ _MATRIX_SLOT = math.nan
 _SPLICE = re.compile(r": NaN(?=,?\n)")
 
 
-def _matrix_json(matrix: SquareIntMatrix, depth: int) -> str:
-    """``matrix.entries`` as ``json.dumps(..., indent=2)`` renders them at indent level ``depth``.
+def _write_matrix_json(write: Callable[[str], object], matrix: SquareIntMatrix,
+                       depth: int) -> None:
+    """Write ``matrix`` as ``json.dumps(matrix.entries, indent=2)`` renders it at level ``depth``.
 
-    Each row is built from its nonzero pairs; every run of zeros is a slice
-    of one string of ``",\\n<indent>0"`` units.
+    One row per ``write``, each built by ``_rendered_rows``.
     """
     if not matrix.n:
-        return "[]"
-    row_indent, entry_indent = "  " * (depth + 1), "  " * (depth + 2)
-    sep = ",\n" + entry_indent
-    unit = len(sep) + 1
-    zeros = (sep + "0") * matrix.n
-    rendered = []
-    for row in matrix.rows:
-        pieces = []
-        start = 0  # first column not rendered yet
-        for j, v in row:
-            pieces.append(zeros[: (j - start) * unit])
-            pieces.append(sep + str(v))
-            start = j + 1
-        pieces.append(zeros[: (matrix.n - start) * unit])
-        # the entries, each after a separator: the first one's "," becomes the "["
-        rendered.append("[" + "".join(pieces)[1:] + "\n" + row_indent + "]")
-    return "[\n" + row_indent + (",\n" + row_indent).join(rendered) + "\n" + "  " * depth + "]"
+        write("[]")
+        return
+    row_indent = "\n" + "  " * (depth + 1)
+    before = "[" + row_indent  # what comes before the next row
+    for row in _rendered_rows(matrix, ",\n" + "  " * (depth + 2)):
+        # the row's entries, each after a separator: the first one's "," becomes the "["
+        write(f"{before}[{row[1:]}{row_indent}]")
+        before = "," + row_indent
+    write("\n" + "  " * depth + "]")
 
 
-def _report_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, each SquareIntMatrix in it rendered by ``_matrix_json``.
+def _write_json(write: Callable[[str], object], report: dict) -> None:
+    """Write ``json.dumps(report, indent=2)``, each SquareIntMatrix in it by ``_write_matrix_json``.
 
     The encoder renders every other field and leaves a slot per matrix, in
     order; a slot's indent level is that of its key's line.  A matrix may
@@ -476,12 +496,14 @@ def _report_json(report: dict) -> str:
         return _MATRIX_SLOT
 
     head, *tails = _SPLICE.split(json.dumps(report, indent=2, default=slot))
-    pieces = [head]
+    write(head)
+    before = head  # the piece that ends with the next slot's key
     for matrix, tail in zip(matrices, tails):
-        key_line = pieces[-1][pieces[-1].rfind("\n") + 1:]
-        depth = (len(key_line) - len(key_line.lstrip(" "))) // 2
-        pieces += [": ", _matrix_json(matrix, depth), tail]
-    return "".join(pieces)
+        key_line = before[before.rfind("\n") + 1:]
+        write(": ")
+        _write_matrix_json(write, matrix, (len(key_line) - len(key_line.lstrip(" "))) // 2)
+        write(tail)
+        before = tail
 
 
 @contextmanager
@@ -496,7 +518,9 @@ def _ints_in_full():
 
 
 def _emit(as_json: bool, command: str, path: Optional[str], code: int, payload: dict,
-          lines: list[str]) -> None:
+          lines: list[str | SquareIntMatrix]) -> None:
+    """Write the report to ``sys.stdout``, each piece as soon as it is rendered."""
+    write = sys.stdout.write
     if as_json:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -505,10 +529,15 @@ def _emit(as_json: bool, command: str, path: Optional[str], code: int, payload: 
             "exit_code": code,
         }
         report.update(payload)
-        print(_report_json(report))
-    else:
-        for line in lines:
-            print(line)
+        _write_json(write, report)
+        write("\n")
+        return
+    for line in lines:
+        if isinstance(line, SquareIntMatrix):
+            for piece in _document_lines(line):
+                write(piece)
+        else:
+            write(line + "\n")
 
 
 def run_command(argv: Optional[Sequence[str]] = None) -> int:

@@ -412,6 +412,13 @@ def reference_pivots(rows, size: int) -> list[int]:
     return out
 
 
+def reference_format_matrix(rows) -> str:
+    """The document format of the dense grid ``rows``, one ``str`` per entry."""
+    lines = [str(len(rows))]
+    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # predicates and wrappers the library does not need
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -22,12 +23,13 @@ from finitype import (
     compute_skew_symmetrizer,
     decide_matrix,
     format_matrix,
+    mutate,
     parse_matrix,
     run_command,
 )
 from finitype.cli import ORACLE_LIMIT_ENV
 
-from helpers import a_path, from_arcs, random_cyclically_oriented_arcs
+from helpers import a_path, from_arcs, random_cyclically_oriented_arcs, reference_format_matrix
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -496,7 +498,8 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     assert code == 0 and proc.stdout == capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["decide", "--json"], ["companion"]])
+@pytest.mark.parametrize("argv", [["decide", "--json"], ["companion"], ["companion", "--json"],
+                                  ["mutate", "-k", "1", "--json"]])
 def test_closed_stdout_exits_2_without_traceback(argv, tmp_path):
     # an n = 300 path's report is far larger than a pipe buffer, so writing
     # it fails once the reader has closed the pipe after one byte
@@ -647,4 +650,57 @@ def test_report_json_renders_matrices_as_json_dumps(top, nested, name):
         "minors": [1, 2],
     }
     expected = json.dumps(replace_matrices(report), indent=2)
-    assert finitype.cli._report_json(report) == expected
+    pieces = []
+    finitype.cli._write_json(pieces.append, report)
+    assert "".join(pieces) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_format_matrix_matches_the_dense_rendering(matrix):
+    assert format_matrix(matrix) == reference_format_matrix(matrix.entries)
+
+
+def test_matrix_reports_never_read_the_dense_grid(monkeypatch, tmp_path):
+    # as criterion 8 does for the decision: reading a dense view fails at once
+    matrix = a_path(300)
+    doc = tmp_path / "a300.mat"
+    doc.write_text(format_matrix(matrix))
+
+    def no_dense_view(matrix):
+        raise AssertionError(f"the dense view of an n = {matrix.n} matrix was read")
+
+    monkeypatch.setattr(SquareIntMatrix, "entries", property(no_dense_view))
+    expected = {
+        "companion": decide_matrix(matrix).certificate.companion.C,
+        "mutate": mutate(compute_skew_symmetrizer(matrix), 0).B,
+    }
+    for argv, key in ((["companion"], "companion"), (["mutate", "-k", "1"], "matrix")):
+        for flag in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run_command([argv[0], str(doc), *argv[1:], *flag]) == 0
+            if flag:
+                printed = SquareIntMatrix.from_rows(json.loads(out.getvalue())[key])
+            else:
+                printed = parse_matrix(out.getvalue())  # the companion's info lines are comments
+            assert printed == expected[argv[0]], (argv, flag)
+
+
+def test_json_report_is_never_held_whole(tmp_path):
+    # an n = 600 path's report is about 4 MB and its document 0.7 MB; the
+    # peak should come while the document is decoded, as bytes and text at
+    # once, which is under half the report (and the report held once is more)
+    doc = tmp_path / "a600.mat"
+    doc.write_text(format_matrix(a_path(600)))
+    out = tmp_path / "report.json"
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = run_command(["decide", str(doc), "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = out.stat().st_size
+    assert code == 0 and size > 3_000_000
+    assert peak < size / 2, f"peak {peak} bytes for a {size}-byte report"
