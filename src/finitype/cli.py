@@ -13,9 +13,9 @@ lines are ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
 under that limit, and every integer of a report is printed in full.  All
 vertices and indices are 1-based on the way in and out, 0-based internally.
 
-A ``--json`` report is exactly ``json.dumps(report, indent=2)``.  Its
-matrix-valued fields are rendered from their nonzero entries and spliced in,
-since the pure-Python encoder that ``indent`` selects would walk all n²
+A ``--json`` report is exactly ``json.dumps(report, indent=2)``, written by
+a walk of the report that renders each matrix from its nonzero entries,
+since the pure-Python encoder that ``indent`` selects would read all n²
 entries.  Every report, text or JSON, goes to stdout piece by piece, a
 matrix one row at a time, so no n² string is ever held whole.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import re
 import sys
@@ -258,18 +257,14 @@ _Outcome = tuple[int, dict, list[str | SquareIntMatrix]]
 
 def _load(path: str) -> SquareIntMatrix:
     try:
-        fh = open(path, "rb")
-    except ValueError as err:  # a NUL in the path, which only a library caller can pass
-        raise OSError(errno.EINVAL, str(err), path) from None
-    with fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:  # a ValueError too, so it is caught first
         raise MatrixParseError(
             f"document is not valid UTF-8: {err.reason} at byte offset {err.start}"
         ) from None
-    del data  # else one more copy of the document while it is parsed
+    except ValueError as err:  # a NUL in the path, which only a library caller can pass
+        raise OSError(errno.EINVAL, str(err), path) from None
     return parse_matrix(text)
 
 
@@ -458,12 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# json.dumps renders a NaN as a bare NaN token; no other value of a report is a
-# float, and inside a string such text is never followed by a line break
-_MATRIX_SLOT = math.nan
-_SPLICE = re.compile(r": NaN(?=,?\n)")
-
-
 def _write_matrix_json(write: Callable[[str], object], matrix: SquareIntMatrix,
                        depth: int) -> None:
     """Write ``matrix`` as ``json.dumps(matrix.entries, indent=2)`` renders it at level ``depth``.
@@ -482,28 +471,29 @@ def _write_matrix_json(write: Callable[[str], object], matrix: SquareIntMatrix,
     write("\n" + "  " * depth + "]")
 
 
-def _write_json(write: Callable[[str], object], report: dict) -> None:
-    """Write ``json.dumps(report, indent=2)``, each SquareIntMatrix in it by ``_write_matrix_json``.
+def _write_json(write: Callable[[str], object], value, depth: int = 0) -> None:
+    """Write ``json.dumps(value, indent=2)`` as it renders at level ``depth``.
 
-    The encoder renders every other field and leaves a slot per matrix, in
-    order; a slot's indent level is that of its key's line.  A matrix may
-    only be a dict value, never a list item.
+    Each SquareIntMatrix in ``value`` goes through ``_write_matrix_json``.
     """
-    matrices = []
-
-    def slot(matrix: SquareIntMatrix) -> float:
-        matrices.append(matrix)
-        return _MATRIX_SLOT
-
-    head, *tails = _SPLICE.split(json.dumps(report, indent=2, default=slot))
-    write(head)
-    before = head  # the piece that ends with the next slot's key
-    for matrix, tail in zip(matrices, tails):
-        key_line = before[before.rfind("\n") + 1:]
-        write(": ")
-        _write_matrix_json(write, matrix, (len(key_line) - len(key_line.lstrip(" "))) // 2)
-        write(tail)
-        before = tail
+    if type(value) is int:
+        write(int.__repr__(value))  # as json renders an int
+    elif isinstance(value, SquareIntMatrix):
+        _write_matrix_json(write, value, depth)
+    elif isinstance(value, (dict, list, tuple)) and value:
+        indent = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            brackets, items = "{}", ((f"{json.dumps(k)}: ", v) for k, v in value.items())
+        else:
+            brackets, items = "[]", zip(repeat(""), value)
+        before = brackets[0] + indent
+        for key, item in items:
+            write(before + key)
+            _write_json(write, item, depth + 1)
+            before = "," + indent
+        write("\n" + "  " * depth + brackets[1])
+    else:
+        write(json.dumps(value))
 
 
 @contextmanager

@@ -559,6 +559,24 @@ def affine_e_arcs(arms: tuple[int, ...]) -> tuple[int, dict]:
     return n, arcs
 
 
+def affine_bcd_arcs(kind: str, n: int) -> tuple[int, dict]:
+    """B~, C~ or D~ on n >= 5 vertices: a path on 1..n-2 with one more vertex
+    at each end, 0 at the start and n-1 at the finish.  An end is either a
+    fork (the extra vertex is a second leaf, as in ``d_fork``) or a weighted
+    pair (as in ``bc_path``): B~ is a fork and B's (2, 1) pair, C~ is C's
+    (1, 2) pair at both ends, D~ is a fork at both ends."""
+    arcs = {(i, i + 1): 1 for i in range(1, n - 2)}
+    if kind == "C":
+        arcs[(1, 0)] = (1, 2)
+    else:
+        arcs[(0, 2)] = 1
+    if kind == "D":
+        arcs[(n - 3, n - 1)] = 1
+    else:
+        arcs[(n - 2, n - 1)] = (2, 1) if kind == "B" else (1, 2)
+    return n, arcs
+
+
 def affine_f4_arcs() -> tuple[int, dict]:
     return 5, {(0, 1): 1, (1, 2): 1, (2, 3): (1, 2), (3, 4): 1}
 

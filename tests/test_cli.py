@@ -86,11 +86,21 @@ def test_parse_rejects_non_ascii_grammar_dimension(dimension):
 @pytest.mark.parametrize(
     "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
 )
-def test_parse_only_line_feed_breaks_lines_and_only_space_tab_separate(char):
+def test_parse_only_line_feed_breaks_lines_and_only_space_tab_separate(capsys, tmp_path, char):
     # inside a comment any character is fine; outside it is not a separator
-    assert parse_matrix(f"# a{char}b\n2\n0 1 # {char}\n-1\t0\r\n").entries == ((0, 1), (-1, 0))
+    good = f"# a{char}b\n2\n0 1 # {char}\n-1\t0\r\n"
+    bad = f"2\n0{char}1\n-1 0\n"
+    assert parse_matrix(good).entries == ((0, 1), (-1, 0))
     with pytest.raises(MatrixParseError, match="row 1 contains a non-integer entry"):
-        parse_matrix(f"2\n0{char}1\n-1 0\n")
+        parse_matrix(bad)
+    # a document file reaches the parser as it is, no line ending translated
+    doc = tmp_path / "doc.mat"
+    doc.write_bytes(good.encode("utf-8"))
+    assert run_command(["decide", str(doc)]) == 0
+    assert capsys.readouterr().out.startswith("FiniteType\n")
+    doc.write_bytes(bad.encode("utf-8"))
+    assert run_command(["decide", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: row 1 contains a non-integer entry\n"
 
 
 @pytest.mark.parametrize("zero", ["0", "00", "-0", "-00"])
@@ -407,14 +417,18 @@ def test_document_line_breaks_and_separators(capsys, tmp_path, text, error):
 @pytest.mark.parametrize("command", ["decide", "cycles", "companion", "compare"])
 def test_non_utf8_document_is_a_parse_error(capsys, tmp_path, command):
     doc = tmp_path / "latin1.mat"
-    doc.write_bytes(b"# caf\xe9\n2\n0 1\n-1 0\n")
-    assert run_command([command, str(doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: document is not valid UTF-8: invalid continuation byte at byte offset 5\n"
-    code, report = run_json(capsys, command, str(doc))
-    assert code == 2
-    assert report["error"]["kind"] == "parse_error"
+    # the offset counts from the start of the document, however far in the byte is
+    for head, offset in (("# caf", 5), ("#" * 200_001 + "\n# caf", 200_007)):
+        doc.write_bytes(head.encode() + b"\xe9\n2\n0 1\n-1 0\n")
+        assert run_command([command, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: document is not valid UTF-8: invalid continuation byte at byte offset {offset}\n"
+        )
+        code, report = run_json(capsys, command, str(doc))
+        assert code == 2
+        assert report["error"]["kind"] == "parse_error"
     # UTF-8 comments stay accepted
     doc.write_text("# café — A2\n2\n0 1\n-1 0\n", encoding="utf-8")
     assert run_command([command, str(doc)]) == 0
@@ -641,13 +655,16 @@ def matrices(draw) -> SquareIntMatrix:
 @settings(max_examples=200, deadline=None)
 @given(matrices(), matrices(), st.text(alphabet=': NaN,\n"\\\x00x', max_size=12))
 def test_report_json_renders_matrices_as_json_dumps(top, nested, name):
-    # matrices at indent levels 1 to 3, among strings that hold the slot's own text
+    # matrices at indent levels 1 to 4, as dict values and as list items,
+    # among strings that hold a NaN token and the other scalars json renders
     report = {
         "file": name,
         "companion": top,
         "reason": {"kind": name, "companion": nested, "minor": -7},
-        "deep": {"list": [{"matrix": nested}]},
-        "minors": [1, 2],
+        "deep": {"list": [{"matrix": nested}, [top, nested]]},
+        "minors": (1, -2, 10**40),
+        "scalars": [True, False, None, {}, [], ()],
+        "empty": {},
     }
     expected = json.dumps(replace_matrices(report), indent=2)
     pieces = []

@@ -1,11 +1,13 @@
-"""Metamorphic invariants of the decision at n = 150, beyond the oracles' reach.
+"""Metamorphic invariants of the decision at n = 500, beyond the oracles' reach.
 
 Finite type is unchanged by mutation (Fomin-Zelevinsky), by relabeling the
 vertices, by B -> -B and by B -> -B^T (the Langlands dual, which swaps B_n
-and C_n).  Each seed and a 300-step mutation walk of it are decided under
-all four transforms, and the certificates must follow the transform:
-relabeling maps the cycle inventory, -B reverses every cycle and keeps the
-leading minors, and -B^T has B's quiver and so B's cycles.
+and C_n).  The seeds are the Dynkin paths A, B, C and D and the affine B~,
+C~ and D~ at n = 500, the affine E~8 and a cyclic triangle.  Each seed and a
+300-step mutation walk of it are decided under all four transforms, and the
+certificates must follow the transform: relabeling maps the cycle inventory,
+-B reverses every cycle and keeps the leading minors, and -B^T has B's
+quiver and so B's cycles.
 """
 
 import random
@@ -23,25 +25,30 @@ from finitype import (
 
 from helpers import (
     a_path,
+    affine_bcd_arcs,
     affine_e_arcs,
     bc_path,
     cyclic_triangle,
     d_fork,
+    from_arcs,
     independent_leading_minor,
     mutation_walk,
     sparse_from_arcs,
 )
 
-N = 150
+N = 500
 WALK_STEPS = 300
 CHECKED_ORDERS = (1, 2, 5)  # plus n, each when at most MAX_CHECKED_ORDER
 MAX_CHECKED_ORDER = 60
 
 SEEDS = {
-    "A150": (a_path(N), True),
-    "B150": (bc_path(N, heavy_first=True), True),
-    "C150": (bc_path(N, heavy_first=False), True),
-    "D150": (d_fork(N), True),
+    f"A{N}": (a_path(N), True),
+    f"B{N}": (bc_path(N, heavy_first=True), True),
+    f"C{N}": (bc_path(N, heavy_first=False), True),
+    f"D{N}": (d_fork(N), True),
+    f"affine-B{N}": (from_arcs(*affine_bcd_arcs("B", N)), False),
+    f"affine-C{N}": (from_arcs(*affine_bcd_arcs("C", N)), False),
+    f"affine-D{N}": (from_arcs(*affine_bcd_arcs("D", N)), False),
     "affine-E8": (sparse_from_arcs(*affine_e_arcs((5, 2, 1))), False),
     "triangle": (cyclic_triangle(), True),
 }
