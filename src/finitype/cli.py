@@ -13,6 +13,11 @@ lines are ignored.  Every integer is ASCII ``-?[0-9]+`` and at most
 under that limit, and every integer of a report is printed in full.  All
 vertices and indices are 1-based on the way in and out, 0-based internally.
 
+A row is read by a fixed number of whole-line string scans (``translate``,
+``count``, ``find``, ``split``), and Python objects are made only for the
+tokens other than ``"0"``: parsing costs O(document bytes) in C plus
+O(nonzero entries) in Python.
+
 A ``--json`` report is exactly ``json.dumps(report, indent=2)``, written by
 a walk of the report that renders each matrix from its nonzero entries,
 since the pure-Python encoder that ``indent`` selects would read all n²
@@ -29,8 +34,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from itertools import compress, repeat
-from operator import ne
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from .decision import Certificate, CompanionNotPositive, Reason, decide_matrix
@@ -93,6 +97,44 @@ class InputError(ValueError):
     """Input-domain error outside the document itself (bad index, bad limit)."""
 
 
+def _nonzero_entries(line: str) -> tuple[tuple[int, int], ...]:
+    """The (column, value) pairs of the nonzero entries of the row ``line``.
+
+    ``line`` holds digits and minus signs in tokens separated by one space.
+    A token of zeros alone is never looked at: with the zeros blanked, every
+    other token leaves one or more fragments; the first fragment of a token
+    locates it in ``line``, and its column is the number of spaces before it.
+    Raises ValueError when int() refuses a token it reads.
+    """
+    blanked = line.replace("0", " ")
+    row = []
+    column = counted = end = after = 0  # end: of the last token read; after: of the last fragment
+    for fragment in blanked.split():
+        at = blanked.find(fragment, after)
+        after = at + len(fragment)
+        if at < end:  # a later fragment of the token just read, as the second "1" of "101"
+            continue
+        start = line.rfind(" ", 0, at) + 1
+        end = line.find(" ", after)
+        if end < 0:
+            end = len(line)
+        column += line.count(" ", counted, start)
+        counted = start
+        v = int(line[start:end])  # "-0" and "00" spellings of zero read as 0 and are not stored
+        if v:
+            row.append((column, v))
+    return tuple(row)
+
+
+def _token_error(idx: int, line: str) -> MatrixParseError:
+    """The error of row ``idx``, one token of which int() refuses."""
+    if all(map(_INTEGER.fullmatch, line.split())):  # only the digit limit is left
+        return MatrixParseError(
+            f"row {idx} has an entry longer than {sys.get_int_max_str_digits()} digits"
+        )
+    return MatrixParseError(f"row {idx} contains a non-integer entry")
+
+
 def parse_matrix(text: str) -> SquareIntMatrix:
     """Parse the matrix document format; raises MatrixParseError."""
     lines = []
@@ -114,30 +156,25 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         raise MatrixParseError("dimension must be non-negative")
     if len(lines) != n + 1:
         raise MatrixParseError(f"expected {n} rows after the dimension, found {len(lines) - 1}")
+    limit = sys.get_int_max_str_digits()
+    zero_run = "0" * (limit + 1)  # the shortest token of zeros alone that int() refuses
     rows = []
     for idx, line in enumerate(lines[1:], start=1):
         # int() alone also takes a '+' sign, '_' separators and non-ASCII digits,
         # and str.split() also splits at whitespace other than spaces and tabs
         if line.translate(_ROW_CHARS):
             raise MatrixParseError(f"row {idx} contains a non-integer entry")
-        parts = line.split()
-        if len(parts) != n:
-            raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
-        # int() only on the tokens other than a plain "0"; "00" and "-0" go
-        # through it and, being zero, are not stored
-        row = []
+        if "\t" in line or "  " in line:
+            line = " ".join(line.split())
+        entries = line.count(" ") + 1
+        if entries != n:
+            raise MatrixParseError(f"row {idx} has {entries} entries, expected {n}")
+        if limit and zero_run in line:  # a token _nonzero_entries would not look at
+            raise _token_error(idx, line)
         try:
-            for j in compress(range(n), map(ne, parts, repeat("0"))):
-                v = int(parts[j])
-                if v:
-                    row.append((j, v))
+            rows.append(_nonzero_entries(line))
         except ValueError:
-            if all(map(_INTEGER.fullmatch, parts)):  # only the digit limit is left
-                raise MatrixParseError(
-                    f"row {idx} has an entry longer than {sys.get_int_max_str_digits()} digits"
-                ) from None
-            raise MatrixParseError(f"row {idx} contains a non-integer entry") from None
-        rows.append(tuple(row))
+            raise _token_error(idx, line) from None
     return SquareIntMatrix(n, tuple(rows))
 
 

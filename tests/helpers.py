@@ -9,14 +9,18 @@ so the tests cross-validate rather than echo the implementation.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import gcd, lcm
+from operator import ne
 
 from hypothesis import strategies as st
 
 from finitype import (
+    MatrixParseError,
     NotSkewSymmetrizableError,
     QuasiCartanCompanion,
     SquareIntMatrix,
@@ -417,6 +421,63 @@ def reference_format_matrix(rows) -> str:
     lines = [str(len(rows))]
     lines.extend(" ".join(str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_ROW_CHARS = str.maketrans("", "", "0123456789- \t")  # deletes every character a row may hold
+
+
+def reference_parse_matrix(text: str) -> SquareIntMatrix:
+    """The document parser as it was before rows were read by whole-line scans.
+
+    It splits every row into one token per column; the library's parser
+    must return an equal matrix or raise a MatrixParseError with the same
+    message on every document.
+    """
+    lines = []
+    for raw in text.split("\n"):
+        stripped = raw.removesuffix("\r").split("#", 1)[0].strip(" \t")
+        if stripped:
+            lines.append(stripped)
+    if not lines:
+        raise MatrixParseError("empty matrix document")
+    if not _INTEGER.fullmatch(lines[0]):
+        raise MatrixParseError(f"first line must be the dimension, got {lines[0]!r}")
+    try:
+        n = int(lines[0])
+    except ValueError:  # a valid integer, so only the digit limit is left
+        raise MatrixParseError(
+            f"dimension is longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    if n < 0:
+        raise MatrixParseError("dimension must be non-negative")
+    if len(lines) != n + 1:
+        raise MatrixParseError(f"expected {n} rows after the dimension, found {len(lines) - 1}")
+    rows = []
+    for idx, line in enumerate(lines[1:], start=1):
+        # int() alone also takes a '+' sign, '_' separators and non-ASCII digits,
+        # and str.split() also splits at whitespace other than spaces and tabs
+        if line.translate(_ROW_CHARS):
+            raise MatrixParseError(f"row {idx} contains a non-integer entry")
+        parts = line.split()
+        if len(parts) != n:
+            raise MatrixParseError(f"row {idx} has {len(parts)} entries, expected {n}")
+        # int() only on the tokens other than a plain "0"; "00" and "-0" go
+        # through it and, being zero, are not stored
+        row = []
+        try:
+            for j in compress(range(n), map(ne, parts, repeat("0"))):
+                v = int(parts[j])
+                if v:
+                    row.append((j, v))
+        except ValueError:
+            if all(map(_INTEGER.fullmatch, parts)):  # only the digit limit is left
+                raise MatrixParseError(
+                    f"row {idx} has an entry longer than {sys.get_int_max_str_digits()} digits"
+                ) from None
+            raise MatrixParseError(f"row {idx} contains a non-integer entry") from None
+        rows.append(tuple(row))
+    return SquareIntMatrix(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

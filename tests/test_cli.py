@@ -29,7 +29,14 @@ from finitype import (
 )
 from finitype.cli import ORACLE_LIMIT_ENV
 
-from helpers import a_path, from_arcs, random_cyclically_oriented_arcs, reference_format_matrix
+from helpers import (
+    a_path,
+    from_arcs,
+    random_cyclically_oriented_arcs,
+    reference_format_matrix,
+    reference_parse_matrix,
+    sparse_from_arcs,
+)
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -117,8 +124,95 @@ def test_parse_entry_over_digit_limit():
     long_entry = "-" + "1" * (limit + 1)
     with pytest.raises(MatrixParseError, match=f"row 2 has an entry longer than {limit} digits"):
         parse_matrix(f"2\n0 1\n{long_entry} 0\n")
-    # the longest allowed entry still parses
+    # int() refuses a token of zeros alone once it is longer than the limit,
+    # in any column and with a sign, though no zero is ever stored
+    for zeros in ("0" * (limit + 1), "-" + "0" * (limit + 1)):
+        for row in (f"{zeros} 1 0", f"1 0 {zeros}", f"0\t{zeros}  0"):
+            with pytest.raises(MatrixParseError,
+                               match=f"^row 2 has an entry longer than {limit} digits$"):
+                parse_matrix(f"3\n0 -1 0\n{row}\n0 0 0\n")
+    # with a malformed token in the same row, the malformed token is reported
+    with pytest.raises(MatrixParseError, match="^row 1 contains a non-integer entry$"):
+        parse_matrix(f"2\n{'0' * (limit + 1)} 0-\n0 0\n")
+    # the longest allowed entries still parse
     assert parse_matrix(f"1\n{'0' * limit}\n").entries == ((0,),)
+    assert parse_matrix(f"2\n{'0' * limit} -{'0' * limit}\n0 0\n").rows == ((), ())
+
+
+@pytest.mark.parametrize("entry, value", [("101", 101), ("-1001", -1001), ("100", 100),
+                                          ("-0010", -10), ("0007", 7)])
+def test_parse_entries_with_zero_digits_in_first_and_last_column(entry, value):
+    text = f"3\n{entry} 0 0\n0 0 {entry}\n\t{entry} 00  {entry}\t# both\n"
+    assert parse_matrix(text).entries == ((value, 0, 0), (0, 0, value), (value, 0, value))
+
+
+@pytest.mark.parametrize("row, entries", [("0 0- 1 1", 4), ("--1\t1", 2), ("1 - ", 2)])
+def test_parse_reports_the_entry_count_before_a_malformed_token(row, entries):
+    with pytest.raises(MatrixParseError, match=f"^row 2 has {entries} entries, expected 3$"):
+        parse_matrix(f"3\n0 1 0\n{row}\n0 0 0\n")
+
+
+def test_parse_round_trip_at_scale():
+    # a relabeled n = 2000 path with multi-digit weights; vertex 0 is joined
+    # to n - 1, so row 0 ends and row n - 1 starts with a nonzero entry,
+    # and every column count runs over thousands of tokens
+    n = 2000
+    rng = random.Random(2000)
+    order = [0, n - 1] + rng.sample(range(1, n - 1), n - 2)
+    weights = [10, -101, 1000, -12345, 7, 1001]
+    arcs = {(order[k], order[k + 1]): rng.choice(weights) for k in range(n - 1)}
+    matrix = sparse_from_arcs(n, arcs)
+    assert matrix.rows[0][-1][0] == n - 1 and matrix.rows[n - 1][0][0] == 0
+    assert parse_matrix(format_matrix(matrix)) == matrix
+
+
+ENTRY_TOKENS = ["0", "00", "-0", "-00", "1", "-1", "10", "-10", "101", "007", "-300"]
+BAD_TOKENS = ["-", "0-", "1-1", "--1"]
+
+
+@st.composite
+def odd_documents(draw) -> str:
+    """A document of n = 0..8 in the spellings the grammar allows, and some it does not.
+
+    Some rows have n - 1 or n + 1 entries and some documents n - 1 or n + 1
+    rows; tokens are spelled with extra zeros and signs, now and then
+    malformed; separators are runs of spaces and tabs, also at either end
+    of a row; lines end in LF or CR LF among comments and blank lines.
+    """
+    n = draw(st.integers(0, 8))
+    # rare enough that about half the documents parse
+    rows_off, entries_off = (st.sampled_from([0] * k + [-1, 1]) for k in (14, 30))
+    token = st.sampled_from(ENTRY_TOKENS * 10 + BAD_TOKENS)
+    separator = st.sampled_from([" ", " ", "  ", "\t", " \t", "\t\t "])
+    edge = st.sampled_from(["", "", " ", "\t", "  \t"])
+    comment = st.sampled_from(["", "", "", " # note", "\t#1 2 3", "#"])
+    lines = [draw(edge) + str(n) + draw(edge) + draw(comment)]
+    for _ in range(max(n + draw(rows_off), 0)):
+        entries = max(n + draw(entries_off), 0)
+        tokens = draw(st.lists(token, min_size=entries, max_size=entries))
+        row = draw(edge)
+        for k, tok in enumerate(tokens):
+            row += (draw(separator) if k else "") + tok
+        lines.append(row + draw(edge) + draw(comment))
+    for _ in range(draw(st.integers(0, 2))):  # blank and comment lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "# c"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MatrixParseError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_documents())
+@example("2\r\n\t0  -00\t101\r\n-0 0 # c\r\n")
+@example("3\n-1001 0 007\n0 0 0\n0 0- 0 0\n")
+def test_parse_matches_the_token_per_column_reference(text):
+    assert parse_outcome(parse_matrix, text) == parse_outcome(reference_parse_matrix, text)
 
 
 def test_format_round_trip():

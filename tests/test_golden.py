@@ -3,7 +3,9 @@
 ``golden/reports.json`` maps each invocation (its argv joined by spaces) to
 the stdout, stderr and exit status it produced.  The documents are
 ``tests/data/*.mat`` and ``tests/data/golden/*.mat``; the latter glue
-several cycles or fail with one witness kind each, and stay out of the
+several cycles, fail with one witness kind each or spell their rows
+oddly (``odd_spellings.mat`` with tabs, runs of separators and CR LF line
+ends, ``zero_minus.mat`` failing on a ``0-`` token), and stay out of the
 corpus that other tests count.  The runs are in-process, from inside
 tests/data, so a report's ``"file"`` field is the path relative to it.
 """
