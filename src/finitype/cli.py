@@ -16,7 +16,9 @@ vertices and indices are 1-based on the way in and out, 0-based internally.
 A row is read by a fixed number of whole-line string scans (``translate``,
 ``count``, ``find``, ``split``), and Python objects are made only for the
 tokens other than ``"0"``: parsing costs O(document bytes) in C plus
-O(nonzero entries) in Python.
+O(nonzero entries) in Python.  A row with more than n // 16 nonzero
+fragments is split into its n tokens instead, which is cheaper there and
+makes at most 16 objects per fragment.
 
 A ``--json`` report is exactly ``json.dumps(report, indent=2)``, written by
 a walk of the report that renders each matrix from its nonzero entries,
@@ -34,7 +36,8 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import compress, repeat
+from operator import ne
 from typing import Callable, Iterator, Optional, Sequence
 
 from .decision import Certificate, CompanionNotPositive, Reason, decide_matrix
@@ -97,19 +100,32 @@ class InputError(ValueError):
     """Input-domain error outside the document itself (bad index, bad limit)."""
 
 
-def _nonzero_entries(line: str) -> tuple[tuple[int, int], ...]:
+def _nonzero_entries(line: str, n: int) -> tuple[tuple[int, int], ...]:
     """The (column, value) pairs of the nonzero entries of the row ``line``.
 
-    ``line`` holds digits and minus signs in tokens separated by one space.
-    A token of zeros alone is never looked at: with the zeros blanked, every
-    other token leaves one or more fragments; the first fragment of a token
-    locates it in ``line``, and its column is the number of spaces before it.
+    ``line`` holds n tokens of digits and minus signs, separated by one
+    space.  A token of zeros alone is never looked at: with the zeros
+    blanked, every other token leaves one or more fragments; the first
+    fragment of a token locates it in ``line``, and its column is the
+    number of spaces before it.  That costs a few C calls per fragment, so
+    a row with more than n // 16 fragments, where one split into its n
+    tokens is cheaper, is read by that split instead; the split of the
+    blanked row stops after n // 16 + 1 pieces, so telling costs no more.
     Raises ValueError when int() refuses a token it reads.
     """
-    blanked = line.replace("0", " ")
     row = []
+    most = n // 16
+    blanked = line.replace("0", " ")
+    fragments = blanked.split(None, most)
+    if len(fragments) > most:
+        parts = line.split(" ")
+        for column in compress(range(n), map(ne, parts, repeat("0"))):
+            v = int(parts[column])
+            if v:
+                row.append((column, v))
+        return tuple(row)
     column = counted = end = after = 0  # end: of the last token read; after: of the last fragment
-    for fragment in blanked.split():
+    for fragment in fragments:
         at = blanked.find(fragment, after)
         after = at + len(fragment)
         if at < end:  # a later fragment of the token just read, as the second "1" of "101"
@@ -172,7 +188,7 @@ def parse_matrix(text: str) -> SquareIntMatrix:
         if limit and zero_run in line:  # a token _nonzero_entries would not look at
             raise _token_error(idx, line)
         try:
-            rows.append(_nonzero_entries(line))
+            rows.append(_nonzero_entries(line, n))
         except ValueError:
             raise _token_error(idx, line) from None
     return SquareIntMatrix(n, tuple(rows))

@@ -134,6 +134,13 @@ def test_parse_entry_over_digit_limit():
     # with a malformed token in the same row, the malformed token is reported
     with pytest.raises(MatrixParseError, match="^row 1 contains a non-integer entry$"):
         parse_matrix(f"2\n{'0' * (limit + 1)} 0-\n0 0\n")
+    # the same at n = 16, where a row with one token other than "0" is scanned, not split
+    blank = " 0" * 15
+    for token in (long_entry, "0-"):
+        rows = [f"0{blank}", " ".join(["0"] * 13 + [token, "0", "0"]), f"-1{blank}"]
+        message = "has an entry longer than" if token == long_entry else "contains a non-integer"
+        with pytest.raises(MatrixParseError, match=f"^row 2 {message}"):
+            parse_matrix("16\n" + "\n".join(rows + [f"0{blank}"] * 13) + "\n")
     # the longest allowed entries still parse
     assert parse_matrix(f"1\n{'0' * limit}\n").entries == ((0,),)
     assert parse_matrix(f"2\n{'0' * limit} -{'0' * limit}\n0 0\n").rows == ((), ())
@@ -178,6 +185,8 @@ def odd_documents(draw) -> str:
     rows; tokens are spelled with extra zeros and signs, now and then
     malformed; separators are runs of spaces and tabs, also at either end
     of a row; lines end in LF or CR LF among comments and blank lines.
+    At n < 16 every row with a token other than "0" is split into tokens;
+    ``wide_documents`` reaches the rows that are scanned.
     """
     n = draw(st.integers(0, 8))
     # rare enough that about half the documents parse
@@ -213,6 +222,50 @@ def parse_outcome(parse, text):
 @example("3\n-1001 0 007\n0 0 0\n0 0- 0 0\n")
 def test_parse_matches_the_token_per_column_reference(text):
     assert parse_outcome(parse_matrix, text) == parse_outcome(reference_parse_matrix, text)
+
+
+@st.composite
+def wide_documents(draw) -> str:
+    """A document of n = 16..36 whose rows hold about n // 16 nonzero fragments.
+
+    A row with more than n // 16 fragments is split into tokens and any
+    other row is scanned for its fragments, so these rows fall on either
+    side of that line.  Rows are separated by one drawn separator.  About
+    half the documents parse: the others have a row with an entry too many
+    or too few, or a malformed token.
+    """
+    n = draw(st.integers(16, 36))
+    separator = draw(st.sampled_from([" ", "  ", "\t"]))
+    odd_row = draw(st.integers(0, 4 * n))  # the row with n - 1 or n + 1 entries, if < n
+    bad = BAD_TOKENS if draw(st.integers(0, 3)) == 0 else []
+    token = st.sampled_from(ENTRY_TOKENS[1:] * 10 + bad)
+    lines = [str(n)]
+    for i in range(n):
+        entries = n + (draw(st.sampled_from([-1, 1])) if i == odd_row else 0)
+        row = ["0"] * entries
+        for j, tok in draw(st.dictionaries(st.integers(0, entries - 1), token,
+                                           max_size=n // 16 + 2)).items():
+            row[j] = tok
+        lines.append(separator.join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_documents())
+def test_parse_reads_split_and_scanned_rows_as_the_reference(text):
+    assert parse_outcome(parse_matrix, text) == parse_outcome(reference_parse_matrix, text)
+
+
+def test_parse_dense_document():
+    # every entry off the diagonal nonzero, so every row is read by one split
+    rng = random.Random(300)
+    n = 300
+    text = f"{n}\n" + "".join(
+        " ".join("0" if i == j else str(rng.choice([-12, -3, -1, 1, 2, 101])) for j in range(n))
+        + "\n" for i in range(n))
+    matrix = parse_matrix(text)
+    assert matrix == reference_parse_matrix(text)
+    assert sum(map(len, matrix.rows)) == n * (n - 1)
 
 
 def test_format_round_trip():

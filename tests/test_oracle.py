@@ -17,18 +17,23 @@ from finitype import (
     explore_mutation_class,
     mutate,
 )
+from finitype.oracle import DEFAULT_CLASS_LIMIT, MutationClassReport, _mutate_entries
 
 from helpers import (
     PAIR_OPTIONS,
     a_path,
+    bc_path,
     cyclic_triangle,
     d_fork,
+    e_arcs,
     from_arcs,
     affine_g2_arcs,
     g2,
     is_positive,
     markov,
+    mutation_walk,
     random_skew_rows,
+    relabel,
     definition_mutation,
     reference_brute_force_found,
     reference_explore_mutation_class,
@@ -94,6 +99,18 @@ def test_explore_limit_exceeded():
     report = explore_mutation_class(form, 2)
     assert report.status is ClassStatus.LIMIT_EXCEEDED
     assert report.visited == 3
+
+
+@pytest.mark.parametrize("matrix, visited", [
+    (a_path(6), 34320),
+    (bc_path(6, True), 15840),
+    (bc_path(6, False), 15840),
+    (d_fork(6), 40320),
+    (from_arcs(*e_arcs(6)), 42840),
+], ids=["A6", "B6", "C6", "D6", "E6"])
+def test_explore_full_rank6_classes(matrix, visited):
+    report = explore_mutation_class(form_of(matrix))
+    assert report == MutationClassReport(ClassStatus.FINITE_CLASS, visited, DEFAULT_CLASS_LIMIT)
 
 
 def test_explore_rejects_bad_limit():
@@ -184,8 +201,24 @@ def skew_forms(draw, max_arcs: int = 28) -> SkewForm:
 @settings(max_examples=200, deadline=None)
 @given(skew_forms())
 def test_mutate_matches_the_definition(form):
-    for k in range(form.n):
-        assert mutate(form, k).B.entries == definition_mutation(form.B.entries, k)
+    # both kernels of the mutation rule: the sparse `mutate` and the class search's dense step
+    b, n = form.B.entries, form.n
+    for k in range(n):
+        expected = definition_mutation(b, k)
+        assert mutate(form, k).B.entries == expected
+        nbrs = [j for j in range(n) if b[k][j]]
+        step = _mutate_entries(b, k, nbrs)
+        assert step == expected
+        # every row other than k and its neighbours is the parent's own tuple
+        assert all(step[i] is b[i] for i in range(n) if i != k and i not in nbrs)
+
+
+# rows beyond n = 8 are shared with the parent as well: a 12-path, a relabeled
+# walk from D16, and a relabeled G~2 with a tail whose witness is not at the seed
+WALKED_D16 = relabel(mutation_walk(d_fork(16), 40, random.Random(16)), random.Random(17))
+TAILED_G2 = relabel(
+    from_arcs(12, {(0, 1): 1, (1, 2): (1, 3), **{(i, i + 1): 1 for i in range(2, 11)}}),
+    random.Random(12))
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,6 +230,9 @@ def test_mutate_matches_the_definition(form):
 @example(form_of(from_arcs(5, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1})), 200)  # D~4
 @example(form_of(from_arcs(*affine_g2_arcs())), 200)  # LargeEntryFound after 7 matrices
 @example(form_of(SquareIntMatrix.from_rows([[0, 2, 0], [-1, 0, 1], [0, -1, 0]])), 200)
+@example(form_of(a_path(12)), 300)   # LimitExceeded
+@example(form_of(WALKED_D16), 200)   # LimitExceeded
+@example(form_of(TAILED_G2), 300)    # LargeEntryFound after 33 matrices
 def test_explore_matches_the_plain_search(form, limit):
     expected = reference_explore_mutation_class(form.B.entries, limit)
     assert explore_mutation_class(form, limit) == expected
