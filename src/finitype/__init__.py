@@ -18,7 +18,6 @@ from .decision import (
     positive_companion_exists,
 )
 from .exactmat import (
-    DiagonalRational,
     NotSkewSymmetrizableError,
     SkewForm,
     SquareIntMatrix,
@@ -35,7 +34,6 @@ from .oracle import (
     mutate,
 )
 from .quiver import (
-    ChordlessCycle,
     CycleInventory,
     EdgeBoundExceeded,
     NonCyclicCycle,
@@ -52,11 +50,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "ChordlessCycle",
     "CompanionNotPositive",
     "CycleInventory",
     "Decision",
-    "DiagonalRational",
     "EdgeBoundExceeded",
     "MatrixParseError",
     "MutationClassReport",

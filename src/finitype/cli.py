@@ -56,7 +56,6 @@ from .oracle import (
     mutate,
 )
 from .quiver import (
-    ChordlessCycle,
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
@@ -228,8 +227,8 @@ def format_matrix(matrix: SquareIntMatrix) -> str:
 # ---------------------------------------------------------------------------
 # report helpers (everything user-facing is 1-based)
 
-def _cycle_1based(cycle: ChordlessCycle) -> list[int]:
-    return [v + 1 for v in cycle.vertices]
+def _cycle_1based(cycle: tuple[int, ...]) -> list[int]:
+    return [v + 1 for v in cycle]
 
 def _edges_1based(edges) -> list[list[int]]:
     return sorted([u + 1, v + 1] for u, v in edges)
@@ -350,14 +349,12 @@ def _cmd_cycles(args, matrix: SquareIntMatrix) -> _Outcome:
         inventory = chordless_cycles_cod(g)
     except NotCyclicallyOrientedError as err:
         return _not_oriented(err.witness)
-    payload = {
-        "cyclically_oriented": True,
-        "cycles": [_cycle_1based(c) for c in inventory.cycles],
-        "single_edges": _edges_1based(inventory.single_edges),
-    }
+    cycles = [_cycle_1based(c) for c in inventory.cycles]
+    single_edges = _edges_1based(inventory.single_edges)
+    payload = {"cyclically_oriented": True, "cycles": cycles, "single_edges": single_edges}
     lines = ["cyclically oriented: yes"]
-    lines.extend("cycle: " + " ".join(str(v) for v in _cycle_1based(c)) for c in inventory.cycles)
-    lines.extend("single edge: " + f"{u} {v}" for u, v in _edges_1based(inventory.single_edges))
+    lines.extend("cycle: " + " ".join(map(str, c)) for c in cycles)
+    lines.extend(f"single edge: {u} {v}" for u, v in single_edges)
     return EXIT_FINITE, payload, lines
 
 

@@ -34,8 +34,7 @@ def assign_signs(g: Quiver, inventory: CycleInventory) -> dict[tuple[int, int], 
     as happens when the inventory lists a cycle twice.
     """
     signs: dict[tuple[int, int], int] = {edge: 1 for edge in inventory.single_edges}
-    for cycle in reversed(inventory.cycles):
-        verts = cycle.vertices
+    for verts in reversed(inventory.cycles):
         t = len(verts)
         prod = 1
         deferred: Optional[tuple[int, int]] = None

@@ -113,44 +113,32 @@ class SquareIntMatrix:
 
 
 @dataclass(frozen=True)
-class DiagonalRational:
-    """Positive diagonal symmetrizer, canonicalized.
+class SkewForm:
+    """A skew-symmetrizable matrix together with its canonical symmetrizer.
 
-    Entries are positive integers with overall gcd 1; any valid symmetrizer
-    over the rationals scales to this form, and construction rejects any
-    other.
+    ``D`` holds the diagonal d_1, ..., d_n: positive integers with overall
+    gcd 1.  Any valid symmetrizer over the rationals scales to this form,
+    and construction rejects any other.
     """
 
-    d: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.d):
-            raise ValueError("symmetrizer entries must be positive")
-        if self.d and gcd(*self.d) != 1:
-            raise ValueError("symmetrizer entries must have gcd 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-
-@dataclass(frozen=True)
-class SkewForm:
-    """A skew-symmetrizable matrix together with its canonical symmetrizer."""
-
     B: SquareIntMatrix
-    D: DiagonalRational
+    D: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Check d_i * b_ij == -d_j * b_ji at every nonzero entry, in row-major order.
+        """Check D's canonical form, then d_i * b_ij == -d_j * b_ji at every nonzero entry.
 
-        With D positive this also forces a zero diagonal and each pair
-        both zero or opposite in sign: a nonzero entry whose partner breaks
-        that rule fails the equation at the entry itself.
+        The entries are checked in row-major order.  With D positive this
+        also forces a zero diagonal and each pair both zero or opposite in
+        sign: a nonzero entry whose partner breaks that rule fails the
+        equation at the entry itself.
         """
-        if self.B.n != self.D.n:
+        d = self.D
+        if any(v <= 0 for v in d):
+            raise ValueError("symmetrizer entries must be positive")
+        if d and gcd(*d) != 1:
+            raise ValueError("symmetrizer entries must have gcd 1")
+        if self.B.n != len(d):
             raise ValueError("matrix and symmetrizer dimensions differ")
-        d = self.D.d
         for i, (row, col) in enumerate(zip(self.B.rows, self.B.columns())):
             partner = dict(col)  # b_ji by j
             for j, v in row:
@@ -202,7 +190,7 @@ def compute_skew_symmetrizer(B: SquareIntMatrix) -> SkewForm:
     scale = lcm(*den)
     d = [p * (scale // q) for p, q in zip(num, den)]
     g = gcd(*d)
-    return SkewForm(B, DiagonalRational(tuple(v // g for v in d)))
+    return SkewForm(B, tuple(v // g for v in d))
 
 
 def leading_principal_minors(M: SquareIntMatrix) -> list[int]:

@@ -1,6 +1,6 @@
 """Oriented graph of a skew form and its chordless-cycle inventory.
 
-The graph G has an arc i -> j with weight b_ij for every positive entry.
+The graph G has an arc i -> j for every positive entry b_ij.
 Deciding whether G is cyclically oriented reduces, component by
 two-connected component, to repeatedly peeling off an "ear": a maximal
 path of degree-2 vertices whose endpoints are joined by an edge.  The ear
@@ -27,14 +27,14 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Simple oriented graph with positive integer arc weights.
+    """Simple oriented graph: ``arcs`` holds each arc as a (tail, head) pair.
 
     Skew-symmetry by signs rules out 2-cycles and loops, so there is at
     most one arc per unordered vertex pair.
     """
 
     n: int
-    arcs: dict[tuple[int, int], int]
+    arcs: frozenset[tuple[int, int]]
     neighbors: tuple[tuple[int, ...], ...]
 
     @property
@@ -43,23 +43,19 @@ class Quiver:
 
 
 def build_quiver(form: SkewForm) -> Quiver:
-    """Graph with an arc i -> j of weight b_ij for every b_ij > 0.
+    """Graph with an arc i -> j for every b_ij > 0: only B's sign pattern is read.
 
-    Reads only the nonzero entries above the diagonal; a skew form's
+    It walks only the nonzero entries above the diagonal; a skew form's
     pattern is symmetric, so they name every edge once, and each row's
     columns are that vertex's neighbours in ascending order.  When b_ij < 0
-    the arc is j -> i with weight b_ji = -b_ij * d_i / d_j, exactly, by the
-    SkewForm's own D*B check.
+    the arc is j -> i, since b_ji > 0.
     """
-    d = form.D.d
-    arcs: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(form.B.rows):
-        for j, v in row:
-            if j > i:
-                if v > 0:
-                    arcs[(i, j)] = v
-                else:
-                    arcs[(j, i)] = -v * d[i] // d[j]
+    arcs = frozenset(
+        (i, j) if v > 0 else (j, i)
+        for i, row in enumerate(form.B.rows)
+        for j, v in row
+        if j > i
+    )
     neighbors = tuple(tuple(map(itemgetter(0), row)) for row in form.B.rows)
     return Quiver(form.n, arcs, neighbors)
 
@@ -126,18 +122,6 @@ def two_connected_components(g: Quiver) -> list[TwoConnectedComponent]:
 
 
 @dataclass(frozen=True)
-class ChordlessCycle:
-    """Cyclically oriented chordless cycle in canonical form.
-
-    The vertex list is rotated so the smallest vertex comes first and
-    directed so every arc points from each vertex to its successor
-    (wrapping around).
-    """
-
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EdgeBoundExceeded:
     """A (sub)graph with more than 2n - 3 edges cannot be cyclically orientable."""
 
@@ -177,9 +161,14 @@ class NotCyclicallyOrientedError(Exception):
 
 @dataclass(frozen=True)
 class CycleInventory:
-    """All chordless cycles (a stack, discovery order) plus single-edge components."""
+    """All chordless cycles (a stack, discovery order) plus single-edge components.
 
-    cycles: tuple[ChordlessCycle, ...]
+    Each cycle is a tuple of its vertices, rotated so the smallest vertex
+    comes first and directed so every arc points from each vertex to its
+    successor (wrapping around).
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
     single_edges: frozenset[tuple[int, int]]
 
 
@@ -192,7 +181,7 @@ def _canonical_undirected(walk: list[int]) -> tuple[int, ...]:
     return tuple(rotated)
 
 
-def _emit_cycle(g: Quiver, walk: list[int]) -> ChordlessCycle:
+def _emit_cycle(g: Quiver, walk: list[int]) -> tuple[int, ...]:
     """Canonicalize a closed walk, verifying it is cyclically oriented."""
     t = len(walk)
     forward = sum(1 for i in range(t) if (walk[i], walk[(i + 1) % t]) in g.arcs)
@@ -200,10 +189,10 @@ def _emit_cycle(g: Quiver, walk: list[int]) -> ChordlessCycle:
         raise NotCyclicallyOrientedError(NonCyclicCycle(_canonical_undirected(walk)))
     ordered = walk if forward == t else walk[::-1]
     start = ordered.index(min(ordered))
-    return ChordlessCycle(tuple(ordered[start:] + ordered[:start]))
+    return tuple(ordered[start:] + ordered[:start])
 
 
-def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[ChordlessCycle]:
+def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[tuple[int, ...]]:
     adj: dict[int, set[int]] = {v: set() for v in comp.vertices}
     for u, v in comp.edges:
         adj[u].add(v)
@@ -214,7 +203,7 @@ def _reduce_component(g: Quiver, comp: TwoConnectedComponent) -> list[ChordlessC
     # chains whose endpoints are not (yet) adjacent; they can only become
     # peelable after some other ear is removed, so retry them on progress
     blocked: list[int] = []
-    found: list[ChordlessCycle] = []
+    found: list[tuple[int, ...]] = []
     while alive:
         v = None
         while heap:
@@ -284,7 +273,7 @@ def chordless_cycles_cod(g: Quiver) -> CycleInventory:
     if m > 0 and m > 2 * g.n - 3:
         all_vertices = tuple(v for v in range(g.n) if g.neighbors[v])
         raise NotCyclicallyOrientedError(EdgeBoundExceeded(all_vertices, m, 2 * g.n - 3))
-    cycles: list[ChordlessCycle] = []
+    cycles: list[tuple[int, ...]] = []
     single_edges: set[tuple[int, int]] = set()
     for comp in two_connected_components(g):
         if len(comp.edges) == 1:

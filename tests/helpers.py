@@ -315,21 +315,18 @@ def reference_skew_symmetrizer(rows) -> tuple[int, ...]:
     return d
 
 
-def reference_quiver(rows) -> tuple[list, tuple]:
-    """(arcs in insertion order, neighbour lists) of a skew form's dense rows."""
+def reference_quiver(rows) -> tuple[set, tuple]:
+    """(set of (tail, head) arcs, neighbour lists) of a skew form's dense rows."""
     n = len(rows)
-    arcs: dict[tuple[int, int], int] = {}
+    arcs: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j in range(i + 1, n):
             if row[j]:
-                if row[j] > 0:
-                    arcs[(i, j)] = row[j]
-                else:
-                    arcs[(j, i)] = rows[j][i]
+                arcs.add((i, j) if row[j] > 0 else (j, i))
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-    return list(arcs.items()), tuple(tuple(sorted(adj)) for adj in adjacency)
+    return arcs, tuple(tuple(sorted(adj)) for adj in adjacency)
 
 
 def reference_companion(rows, signs) -> tuple[tuple[int, ...], ...]:
@@ -495,8 +492,7 @@ def is_positive(matrix: SquareIntMatrix) -> bool:
 def satisfies_sign_condition(companion: QuasiCartanCompanion, cycles) -> bool:
     """Product of (-c_ij) over the edges of every given cycle is negative."""
     c = companion.C.entries
-    for cycle in cycles:
-        verts = cycle.vertices
+    for verts in cycles:
         prod = 1
         for i in range(len(verts)):
             u, v = verts[i], verts[(i + 1) % len(verts)]

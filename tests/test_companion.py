@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,10 +175,22 @@ def test_companion_keeps_symmetrizer():
         n, arcs = random_cyclically_oriented_arcs(rng, max_vertices=9, asym_weights=True)
         form, g, inv = pipeline(from_arcs(n, arcs))
         res = positive_companion_exists(form, g, inv)
-        c, d = res.companion.C.entries, form.D.d
+        c, d = res.companion.C.entries, form.D
         for i in range(n):
             for j in range(n):
                 assert d[i] * c[i][j] == d[j] * c[j][i]
+
+
+def test_quiver_and_companion_read_b_alone():
+    # G(B) needs B's sign pattern and the companion |b_ij|; the symmetrizer is never read
+    rng = random.Random(808)
+    for _ in range(40):
+        n, arcs = random_cyclically_oriented_arcs(rng, max_vertices=9, asym_weights=True)
+        form, g, inv = pipeline(from_arcs(n, arcs))
+        bare = SimpleNamespace(B=form.B, n=form.n)
+        assert build_quiver(bare) == g
+        signs = assign_signs(g, inv)
+        assert build_companion(bare, signs) == build_companion(form, signs)
 
 
 def test_sign_condition_holds_on_every_cycle():
@@ -245,7 +258,7 @@ def test_positivity_matches_symmetrized_form():
         n, arcs = random_cyclically_oriented_arcs(rng, max_vertices=6, asym_weights=True)
         form, g, inv = pipeline(from_arcs(n, arcs))
         res = positive_companion_exists(form, g, inv)
-        d, c = form.D.d, res.companion.C.entries
+        d, c = form.D, res.companion.C.entries
         sym = [[d[i] * c[i][j] for j in range(n)] for i in range(n)]
         assert sym == [list(row) for row in zip(*sym)]
         classical = all(m > 0 for m in cofactor_leading_minors(sym))

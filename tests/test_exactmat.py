@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import finitype.decision as decision_module
 from finitype import (
-    DiagonalRational,
     NotSkewSymmetrizableError,
     SkewForm,
     SquareIntMatrix,
@@ -69,14 +68,14 @@ def test_symmetrizer_rejects_sign_violations(rows):
 
 def test_symmetrizer_skew_symmetric_input():
     form = compute_skew_symmetrizer(M([[0, 1], [-1, 0]]))
-    assert form.D.d == (1, 1)
+    assert form.D == (1, 1)
 
 
 def test_symmetrizer_weighted_pair():
     form = compute_skew_symmetrizer(M([[0, 1], [-3, 0]]))
-    assert form.D.d == (3, 1)
+    assert form.D == (3, 1)
     # check D*B is skew-symmetric by hand: diag(3,1) * B = [[0,3],[-3,0]]
-    d, b = form.D.d, form.B.entries
+    d, b = form.D, form.B.entries
     assert d[0] * b[0][1] == -d[1] * b[1][0]
 
 
@@ -102,12 +101,12 @@ def test_symmetrizer_disconnected_components():
         [0, 0, -1, 0],
     ]
     form = compute_skew_symmetrizer(M(rows))
-    assert form.D.d == (3, 1, 3, 3)
+    assert form.D == (3, 1, 3, 3)
 
 
 def test_symmetrizer_empty_matrix():
     form = compute_skew_symmetrizer(M([]))
-    assert form.n == 0 and form.D.d == ()
+    assert form.n == 0 and form.D == ()
 
 
 @st.composite
@@ -138,7 +137,7 @@ def skew_symmetrizable_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(skew_symmetrizable_rows())
 def test_symmetrizer_matches_fraction_reference(rows):
-    assert compute_skew_symmetrizer(M(rows)).D.d == fraction_symmetrizer(rows)
+    assert compute_skew_symmetrizer(M(rows)).D == fraction_symmetrizer(rows)
 
 
 def test_symmetrizer_scale_canonical():
@@ -153,7 +152,7 @@ def test_symmetrizer_scale_canonical():
             continue
         form = compute_skew_symmetrizer(mat)
         ratios = {
-            form.D.d[i] * d[0] - form.D.d[0] * d[i] for i in range(len(d))
+            form.D[i] * d[0] - form.D[0] * d[i] for i in range(len(d))
         }
         assert ratios == {0}
         checked += 1
@@ -176,18 +175,23 @@ def _connected(rows) -> bool:
 
 def test_skew_form_validates():
     with pytest.raises(NotSkewSymmetrizableError, match=r"at vertices \(1, 2\)"):
-        SkewForm(M([[0, 1], [-3, 0]]), DiagonalRational((1, 1)))
+        SkewForm(M([[0, 1], [-3, 0]]), (1, 1))
     # a symmetrizer cannot make a nonzero diagonal or a half-zero pair skew
     for rows in ([[0, 0], [0, 5]], [[0, 0], [2, 0]]):
         with pytest.raises(NotSkewSymmetrizableError):
-            SkewForm(M(rows), DiagonalRational((1, 1)))
+            SkewForm(M(rows), (1, 1))
 
 
-def test_diagonal_rational_canonical_only():
-    with pytest.raises(ValueError):
-        DiagonalRational((2, 4))
-    with pytest.raises(ValueError):
-        DiagonalRational((0, 1))
+@pytest.mark.parametrize("d, message", [
+    ((0, 1), "symmetrizer entries must be positive"),
+    ((-2, -1), "symmetrizer entries must be positive"),
+    ((4, 2), "symmetrizer entries must have gcd 1"),  # twice the canonical (2, 1)
+    ((1,), "matrix and symmetrizer dimensions differ"),
+    ((2, 1, 1), "matrix and symmetrizer dimensions differ"),
+])
+def test_skew_form_rejects_noncanonical_symmetrizer(d, message):
+    with pytest.raises(ValueError, match=message):
+        SkewForm(M([[0, 1], [-2, 0]]), d)
 
 
 def test_minors_examples():
@@ -364,7 +368,7 @@ def test_skew_form_dxb_exactly_skew():
     for _ in range(50):
         rows, _ = random_skew_rows(rng, rng.randint(1, 6))
         form = compute_skew_symmetrizer(M(rows))
-        d, b, n = form.D.d, form.B.entries, form.n
+        d, b, n = form.D, form.B.entries, form.n
         for i in range(n):
             for j in range(n):
                 assert d[i] * b[i][j] == -d[j] * b[j][i]
@@ -399,7 +403,7 @@ def test_symmetrizer_matches_dense_reference(rows):
     # pair in row-major order
     matrix = M(rows)
     assert matrix.entries == tuple(map(tuple, rows))
-    assert _outcome(lambda: compute_skew_symmetrizer(matrix).D.d) == \
+    assert _outcome(lambda: compute_skew_symmetrizer(matrix).D) == \
         _outcome(lambda: reference_skew_symmetrizer(rows))
 
 
@@ -409,7 +413,7 @@ def test_skew_form_check_matches_dense_reference(rows, data):
     d = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
     d = tuple(v // gcd(*d) for v in d)
     try:
-        SkewForm(M(rows), DiagonalRational(d))
+        SkewForm(M(rows), d)
         error = None
     except NotSkewSymmetrizableError as err:
         error = str(err)

@@ -82,7 +82,7 @@ def min_first(walk) -> tuple[int, ...]:
 def inventory(matrix: SquareIntMatrix):
     """(cycles, single edges) as sets; every seed and walk here is cyclically oriented."""
     inv = chordless_cycles_cod(build_quiver(compute_skew_symmetrizer(matrix)))
-    return {c.vertices for c in inv.cycles}, set(inv.single_edges)
+    return set(inv.cycles), set(inv.single_edges)
 
 
 def minors_of(decision):
