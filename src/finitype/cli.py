@@ -59,13 +59,11 @@ from .quiver import (
     EdgeBoundExceeded,
     NonCyclicCycle,
     NotCyclicallyOrientedError,
-    StructuralFailure,
     build_quiver,
     chordless_cycles_cod,
 )
 
 SCHEMA_VERSION = 1
-ORACLE_LIMIT_ENV = "FINITYPE_ORACLE_LIMIT"
 
 EXIT_FINITE = 0
 EXIT_NOT_FINITE = 1
@@ -79,9 +77,9 @@ _ROW_CHARS = str.maketrans("", "", "0123456789- \t")  # deletes every character 
 def _integer(text: str) -> int:
     """``text`` as an int when it is spelled as the document grammar spells one.
 
-    The one converter of the integer options and ``FINITYPE_ORACLE_LIMIT``:
-    int() alone also takes a '+' sign, '_' separators, surrounding
-    whitespace and non-ASCII digits.
+    The one converter of the integer options ``-k`` and ``--limit``: int()
+    alone also takes a '+' sign, '_' separators, surrounding whitespace and
+    non-ASCII digits.
     """
     if _INTEGER.fullmatch(text):
         try:
@@ -233,39 +231,31 @@ def _cycle_1based(cycle: tuple[int, ...]) -> list[int]:
 def _edges_1based(edges) -> list[list[int]]:
     return sorted([u + 1, v + 1] for u, v in edges)
 
-def _reason_json(reason: Reason) -> dict:
+def _reason(reason: Reason) -> tuple[dict, str]:
+    """The witness ``reason`` as its JSON object and its text."""
+    if isinstance(reason, CompanionNotPositive):
+        return {
+            "kind": reason.kind,
+            "minor_index": reason.minor_index,
+            "minor": reason.minor,
+            "companion": reason.companion.C,
+        }, f"companion not positive: leading minor {reason.minor_index} = {reason.minor}"
+    vertices = [v + 1 for v in reason.vertices]
+    vs = " ".join(map(str, vertices))
     if isinstance(reason, EdgeBoundExceeded):
         return {
             "kind": reason.kind,
-            "vertices": [v + 1 for v in reason.vertices],
+            "vertices": vertices,
             "edges": reason.edge_count,
             "bound": reason.bound,
-        }
+        }, f"edge bound exceeded: {reason.edge_count} edges > {reason.bound} on vertices {vs}"
     if isinstance(reason, NonCyclicCycle):
-        return {"kind": reason.kind, "cycle": [v + 1 for v in reason.vertices]}
-    if isinstance(reason, StructuralFailure):
-        return {
-            "kind": reason.kind,
-            "vertices": [v + 1 for v in reason.vertices],
-            "detail": reason.detail,
-        }
+        return {"kind": reason.kind, "cycle": vertices}, "non-cyclic chordless cycle: " + vs
     return {
         "kind": reason.kind,
-        "minor_index": reason.minor_index,
-        "minor": reason.minor,
-        "companion": reason.companion.C,
-    }
-
-def _reason_text(reason: Reason) -> str:
-    if isinstance(reason, EdgeBoundExceeded):
-        vs = " ".join(str(v + 1) for v in reason.vertices)
-        return f"edge bound exceeded: {reason.edge_count} edges > {reason.bound} on vertices {vs}"
-    if isinstance(reason, NonCyclicCycle):
-        return "non-cyclic chordless cycle: " + " ".join(str(v + 1) for v in reason.vertices)
-    if isinstance(reason, StructuralFailure):
-        vs = " ".join(str(v + 1) for v in reason.vertices)
-        return f"structural failure on vertices {vs}: {reason.detail}"
-    return f"companion not positive: leading minor {reason.minor_index} = {reason.minor}"
+        "vertices": vertices,
+        "detail": reason.detail,
+    }, f"structural failure on vertices {vs}: {reason.detail}"
 
 def _certificate_json(cert: Certificate) -> dict:
     return {
@@ -275,29 +265,21 @@ def _certificate_json(cert: Certificate) -> dict:
         "minors": cert.minors,
     }
 
-def _class_report_json(report: MutationClassReport) -> dict:
+def _class_report(report: MutationClassReport) -> tuple[dict, str]:
+    """The mutation-class report as its JSON object and its text line."""
+    status = report.status.value
     witness = None
-    if report.witness is not None:
-        witness = {
-            "i": report.witness.i + 1,
-            "j": report.witness.j + 1,
-            "value": report.witness.value,
-        }
-    return {
+    if report.witness is not None:  # set exactly when the status is LargeEntryFound
+        i, j, value = report.witness.i + 1, report.witness.j + 1, report.witness.value
+        witness = {"i": i, "j": j, "value": value}
+        status += f" |b_{i},{j} * b_{j},{i}| = {value}"
+    payload = {
         "status": report.status.value,
         "visited": report.visited,
         "limit": report.limit,
         "witness": witness,
     }
-
-def _class_report_text(report: MutationClassReport) -> str:
-    if report.status is ClassStatus.LARGE_ENTRY_FOUND:
-        w = report.witness
-        return (
-            f"LargeEntryFound |b_{w.i + 1},{w.j + 1} * b_{w.j + 1},{w.i + 1}| = {w.value}"
-            f" (visited {report.visited}, limit {report.limit})"
-        )
-    return f"{report.status.value} (visited {report.visited}, limit {report.limit})"
+    return payload, f"{status} (visited {report.visited}, limit {report.limit})"
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +314,14 @@ def _cmd_decide(args, matrix: SquareIntMatrix) -> _Outcome:
             "companion minors: " + " ".join(str(m) for m in decision.certificate.minors),
         ]
         return EXIT_FINITE, payload, lines
-    payload["reason"] = _reason_json(decision.reason)
-    return EXIT_NOT_FINITE, payload, [decision.verdict, "reason: " + _reason_text(decision.reason)]
+    payload["reason"], reason = _reason(decision.reason)
+    return EXIT_NOT_FINITE, payload, [decision.verdict, "reason: " + reason]
 
 
 def _not_oriented(witness: Reason) -> _Outcome:
-    payload = {"cyclically_oriented": False, "witness": _reason_json(witness)}
-    lines = ["cyclically oriented: no", "witness: " + _reason_text(witness)]
-    return EXIT_NOT_FINITE, payload, lines
+    witness_json, text = _reason(witness)
+    payload = {"cyclically_oriented": False, "witness": witness_json}
+    return EXIT_NOT_FINITE, payload, ["cyclically oriented: no", "witness: " + text]
 
 
 def _cmd_cycles(args, matrix: SquareIntMatrix) -> _Outcome:
@@ -397,26 +379,16 @@ def _cmd_mutate(args, matrix: SquareIntMatrix) -> _Outcome:
 
 
 def _oracle_limit(args) -> int:
-    if args.limit is not None:
-        limit = args.limit
-    else:
-        raw = os.environ.get(ORACLE_LIMIT_ENV)
-        if raw is None:
-            return DEFAULT_CLASS_LIMIT
-        try:
-            limit = _integer(raw)
-        except argparse.ArgumentTypeError:
-            raise InputError(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if limit <= 0:
+    if args.limit <= 0:
         raise InputError("limit must be positive")
-    return limit
+    return args.limit
 
 
 def _cmd_oracle(args, matrix: SquareIntMatrix) -> _Outcome:
     form = compute_skew_symmetrizer(matrix)
     report = explore_mutation_class(form, _oracle_limit(args))
-    payload = _class_report_json(report)
-    lines = [_class_report_text(report)]
+    payload, line = _class_report(report)
+    lines = [line]
     if report.status is ClassStatus.FINITE_CLASS:
         return EXIT_FINITE, payload, lines
     if report.status is ClassStatus.LARGE_ENTRY_FOUND:
@@ -433,17 +405,15 @@ def _cmd_compare(args, matrix: SquareIntMatrix) -> _Outcome:
     # graph is cyclically oriented (positive companions can exist regardless)
     oriented = decision.finite or isinstance(decision.reason, CompanionNotPositive)
     search: dict = {"applicable": oriented, "found": None, "skipped": None}
-    brute_line = "companion brute force: skipped (graph not cyclically oriented)"
     if oriented:
         try:
-            found = brute_force_positive_companion(form) is not None
-            search["found"] = found
-            brute_line = f"companion brute force: {'found' if found else 'None'}"
+            search["found"] = brute_force_positive_companion(form) is not None
         except CapExceededError as err:
             search["skipped"] = str(err)
-            brute_line = f"companion brute force: skipped ({err})"
     else:
         search["skipped"] = "graph not cyclically oriented"
+    found = search["found"]
+    brute = f"skipped ({search['skipped']})" if found is None else "found" if found else "None"
 
     disagreements = []
     if report.status is ClassStatus.FINITE_CLASS and not decision.finite:
@@ -454,19 +424,20 @@ def _cmd_compare(args, matrix: SquareIntMatrix) -> _Outcome:
         disagreements.append("brute-force companion search contradicts the decision")
     agree = not disagreements
 
+    reason, reason_text = (None, "") if decision.finite else _reason(decision.reason)
+    mutation_class, class_text = _class_report(report)
     payload = {
         "verdict": decision.verdict,
-        "reason": None if decision.finite else _reason_json(decision.reason),
-        "mutation_class": _class_report_json(report),
+        "reason": reason,
+        "mutation_class": mutation_class,
         "companion_search": search,
         "agree": agree,
         "disagreements": disagreements,
     }
     lines = [
-        "decide: " + decision.verdict
-        + ("" if decision.finite else f" ({_reason_text(decision.reason)})"),
-        "mutation-class oracle: " + _class_report_text(report),
-        brute_line,
+        "decide: " + decision.verdict + ("" if decision.finite else f" ({reason_text})"),
+        "mutation-class oracle: " + class_text,
+        "companion brute force: " + brute,
         "AGREE" if agree else "DISAGREE: " + "; ".join(disagreements),
     ]
     if not agree:
@@ -497,9 +468,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mut = add("mutate", _cmd_mutate, "apply one matrix mutation and print the result")
     p_mut.add_argument("-k", type=_integer, required=True, help="mutation direction (1-based)")
     p_ora = add("oracle", _cmd_oracle, "explore the mutation class (bounded-entry check)")
-    p_ora.add_argument("--limit", type=_integer, default=None, help="visited-matrix cap")
+    p_ora.add_argument("--limit", type=_integer, default=DEFAULT_CLASS_LIMIT,
+                       help="visited-matrix cap")
     p_cmp = add("compare", _cmd_compare, "run decide plus both oracles and report agreement")
-    p_cmp.add_argument("--limit", type=_integer, default=None, help="visited-matrix cap")
+    p_cmp.add_argument("--limit", type=_integer, default=DEFAULT_CLASS_LIMIT,
+                       help="visited-matrix cap")
     return parser
 
 

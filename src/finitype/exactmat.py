@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Optional
 
 Row = tuple[tuple[int, int], ...]  # (column, value) pairs of the nonzero entries, ascending
@@ -74,6 +75,8 @@ class SquareIntMatrix:
         for row in self.rows:
             last = -1
             for j, v in row:
+                if not (isinstance(j, int) and isinstance(v, int)):
+                    raise ValueError("columns and values must be ints")
                 if not last < j < self.n or not v:
                     raise ValueError(
                         "each row must hold nonzero entries in ascending columns below n"
@@ -82,8 +85,12 @@ class SquareIntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SquareIntMatrix":
-        """The matrix of dense rows: one scan of the n-by-n grid."""
-        grid = [tuple(map(int, row)) for row in rows]
+        """The matrix of dense rows: one scan of the n-by-n grid.
+
+        Each entry goes through ``operator.index``, so a float or a string
+        raises TypeError instead of being truncated or parsed.
+        """
+        grid = [tuple(map(index, row)) for row in rows]
         n = len(grid)
         if any(len(row) != n for row in grid):
             raise ValueError("entries must form an n-by-n grid")

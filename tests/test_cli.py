@@ -27,7 +27,6 @@ from finitype import (
     parse_matrix,
     run_command,
 )
-from finitype.cli import ORACLE_LIMIT_ENV
 
 from helpers import (
     a_path,
@@ -393,30 +392,37 @@ def test_compare_agrees_on_entire_bundled_corpus(capsys):
             assert "DISAGREE" not in out.out
 
 
-def test_oracle_env_limit(capsys, monkeypatch):
-    monkeypatch.setenv(ORACLE_LIMIT_ENV, "2")
-    assert run_command(["oracle", path("a3path.mat")]) == 2
+def test_oracle_limit_flag(capsys):
+    assert run_command(["oracle", path("a3path.mat"), "--limit", "2"]) == 2
     assert "LimitExceeded" in capsys.readouterr().out
-    monkeypatch.setenv(ORACLE_LIMIT_ENV, "50")
-    assert run_command(["oracle", path("a3path.mat")]) == 0
-    capsys.readouterr()
-    for raw in ("zonk", "1_0", "+50", "\u0665\u0660", " 50"):
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, raw)
-        assert run_command(["oracle", path("a3path.mat")]) == 2
-        assert capsys.readouterr().err == \
-            f"error: {ORACLE_LIMIT_ENV} must be an integer, got {raw!r}\n"
-
-
-def test_oracle_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(ORACLE_LIMIT_ENV, "2")
     assert run_command(["oracle", path("a3path.mat"), "--limit", "50"]) == 0
-    capsys.readouterr()
-    # a flag that is not ASCII -?[0-9]+ is refused, not replaced by the variable
+    assert "FiniteClass" in capsys.readouterr().out
+
+
+def test_limit_flag_takes_only_the_document_grammar(capsys):
+    # a flag that is not ASCII -?[0-9]+ is refused
     for command in ("oracle", "compare"):
         for limit in ("\u0663", "1_0", "+5", "5 "):
             assert run_command([command, path("a3path.mat"), "--limit", limit]) == 2
             assert "invalid int value" in capsys.readouterr().err
     assert run_command(["oracle", path("a3path.mat"), "--limit", "050"]) == 0
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_limit_must_be_positive(capsys, command, limit):
+    assert run_command([command, path("a3path.mat"), "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: limit must be positive\n")
+    code, report = run_json(capsys, command, path("a3path.mat"), "--limit", limit)
+    assert code == 2
+    assert report["error"] == {"kind": "input_error", "detail": "limit must be positive"}
+
+
+def test_oracle_limit_ignores_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("FINITYPE_ORACLE_LIMIT", "2")
+    assert run_command(["oracle", path("a3path.mat")]) == 0
+    assert capsys.readouterr().out.startswith("FiniteClass ")
 
 
 # ---------------------------------------------------------------------------

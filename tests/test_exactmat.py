@@ -389,6 +389,23 @@ def test_sparse_rows_hold_only_nonzero_entries():
         M([[0, 1], [0]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 1.9], [-1.9, 0]], [["0", "3"], ["-1", "0"]]])
+def test_from_rows_refuses_entries_that_are_not_integers(rows):
+    # int() would truncate 1.9 to an A2 matrix and read "3" as 3
+    with pytest.raises(TypeError):
+        M(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    (((1, 1.5),), ((0, -1.5),)),
+    (((1.0, 1),), ((0, -1),)),
+    ((("1", 1),), ((0, -1),)),
+])
+def test_sparse_rows_refuse_columns_and_values_that_are_not_ints(rows):
+    with pytest.raises(ValueError, match="columns and values must be ints"):
+        SquareIntMatrix(2, rows)
+
+
 def _outcome(fn):
     try:
         return fn()

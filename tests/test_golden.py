@@ -19,12 +19,11 @@ from pathlib import Path
 import pytest
 
 from finitype import run_command
-from finitype.cli import ORACLE_LIMIT_ENV
 
 DATA = Path(__file__).parent / "data"
 
 MODES = [[command, *flag] for command in ("decide", "cycles", "companion", "oracle", "compare")
-         for flag in ([], ["--json"])] + [["mutate", "-k", "1", "--json"]]
+         for flag in ([], ["--json"])] + [["mutate", "-k", "1", *flag] for flag in ([], ["--json"])]
 DOCUMENTS = sorted(str(doc.relative_to(DATA)) for pattern in ("*.mat", "golden/*.mat")
                    for doc in DATA.glob(pattern))
 CASES = [[mode[0], doc, *mode[1:]] for doc in DOCUMENTS for mode in MODES]
@@ -50,5 +49,4 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_golden_report(argv, monkeypatch):
     monkeypatch.chdir(DATA)
-    monkeypatch.delenv(ORACLE_LIMIT_ENV, raising=False)
     assert run_case(argv) == golden()[" ".join(argv)]
