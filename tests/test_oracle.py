@@ -101,21 +101,44 @@ def test_explore_limit_exceeded():
     assert report.visited == 3
 
 
-@pytest.mark.parametrize("matrix, visited", [
-    (a_path(6), 34320),
-    (bc_path(6, True), 15840),
-    (bc_path(6, False), 15840),
-    (d_fork(6), 40320),
-    (from_arcs(*e_arcs(6)), 42840),
+@pytest.mark.parametrize("matrix, visited, built", [
+    (a_path(6), 34320, 105489),
+    (bc_path(6, True), 15840, 51295),
+    (bc_path(6, False), 15840, 51295),
+    (d_fork(6), 40320, 135652),
+    (from_arcs(*e_arcs(6)), 42840, 143121),
 ], ids=["A6", "B6", "C6", "D6", "E6"])
-def test_explore_full_rank6_classes(matrix, visited):
+def test_explore_full_rank6_classes(matrix, visited, built, monkeypatch):
+    # `built` counts the candidates the search mutates; steps that return the
+    # parent or commute with the step that made the matrix are not built
+    calls = 0
+
+    def counting(b, k, nbrs):
+        nonlocal calls
+        calls += 1
+        return _mutate_entries(b, k, nbrs)
+
+    monkeypatch.setattr(finitype.oracle, "_mutate_entries", counting)
     report = explore_mutation_class(form_of(matrix))
     assert report == MutationClassReport(ClassStatus.FINITE_CLASS, visited, DEFAULT_CLASS_LIMIT)
+    assert calls == built
 
 
 def test_explore_rejects_bad_limit():
     with pytest.raises(ValueError):
         explore_mutation_class(form_of(g2()), 0)
+
+
+@pytest.mark.parametrize("limit", [2.5, float("inf"), "5"])
+def test_explore_limit_must_be_an_integer(limit):
+    with pytest.raises(TypeError):
+        explore_mutation_class(form_of(g2()), limit)
+
+
+def test_explore_limit_true_is_one():
+    report = explore_mutation_class(form_of(a_path(3)), True)
+    assert report == MutationClassReport(ClassStatus.LIMIT_EXCEEDED, 2, 1)
+    assert type(report.limit) is int
 
 
 def test_brute_force_triangle_finds_all_plus():
@@ -219,6 +242,8 @@ WALKED_D16 = relabel(mutation_walk(d_fork(16), 40, random.Random(16)), random.Ra
 TAILED_G2 = relabel(
     from_arcs(12, {(0, 1): 1, (1, 2): (1, 3), **{(i, i + 1): 1 for i in range(2, 11)}}),
     random.Random(12))
+# A2 on {0, 2} and A3 on {1, 3, 4}: every pair across the two components commutes
+DISJOINT_A2_A3 = from_arcs(5, {(0, 2): 1, (1, 3): 1, (3, 4): 1})
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,9 +258,25 @@ TAILED_G2 = relabel(
 @example(form_of(a_path(12)), 300)   # LimitExceeded
 @example(form_of(WALKED_D16), 200)   # LimitExceeded
 @example(form_of(TAILED_G2), 300)    # LargeEntryFound after 33 matrices
+@example(form_of(DISJOINT_A2_A3), 200)  # FiniteClass: 28 matrices
 def test_explore_matches_the_plain_search(form, limit):
     expected = reference_explore_mutation_class(form.B.entries, limit)
     assert explore_mutation_class(form, limit) == expected
+
+
+@pytest.mark.parametrize("matrix, visited", [
+    (a_path(4), 144),
+    (d_fork(4), 50),
+    (from_arcs(*affine_g2_arcs()), 7),
+    (TAILED_G2, 33),
+    (DISJOINT_A2_A3, 28),
+], ids=["A4", "D4", "affine-G2", "tailed-G2", "A2+A3"])
+def test_explore_stops_where_the_plain_search_stops(matrix, visited):
+    # every limit that stops the search early, and the first that lets it end
+    form = form_of(matrix)
+    for limit in range(1, visited + 1):
+        expected = reference_explore_mutation_class(form.B.entries, limit)
+        assert explore_mutation_class(form, limit) == expected
 
 
 @settings(max_examples=150, deadline=None)
